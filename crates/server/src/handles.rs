@@ -21,10 +21,27 @@
 //! `Ord` so reports can sort deterministically, and deliberately *not*
 //! convertible back into each other or into raw integers by accident.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Sources of [`BinaryId`] and [`VersionId`] numbers.  They are
+/// process-wide rather than per-registry so that two registries in one
+/// process never mint the same id: trace events tagged with a version id
+/// (the recorder is process-global too) then always name exactly one build.
+static NEXT_BINARY: AtomicU64 = AtomicU64::new(1);
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
 /// A service across all its versions.  Minted by the registry on the first
-/// submission under a new name; stable for the registry's lifetime.
+/// submission under a new name; stable for the registry's lifetime and
+/// unique across every registry in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BinaryId(pub(crate) u64);
+
+impl BinaryId {
+    /// A fresh id, never handed out before in this process.
+    pub(crate) fn mint() -> Self {
+        BinaryId(NEXT_BINARY.fetch_add(1, Ordering::Relaxed))
+    }
+}
 
 impl std::fmt::Display for BinaryId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -33,12 +50,20 @@ impl std::fmt::Display for BinaryId {
 }
 
 /// One submitted build of a service.  Minted by the registry per
-/// submission; tracks that build through its whole lifecycle
+/// submission (unique across every registry in the process); tracks that
+/// build through its whole lifecycle
 /// (`Verifying → Warm → Active → Draining → Retired`, or `Rejected`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VersionId(pub(crate) u64);
 
 impl VersionId {
+    /// A fresh id, never handed out before in this process.  Ids grow
+    /// monotonically, so a later submission always sorts after an earlier
+    /// one.
+    pub(crate) fn mint() -> Self {
+        VersionId(NEXT_VERSION.fetch_add(1, Ordering::Relaxed))
+    }
+
     /// The raw version number (for labelling output and trace attributes).
     pub fn raw(self) -> u64 {
         self.0

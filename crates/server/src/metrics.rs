@@ -32,11 +32,12 @@ pub struct RequestMetrics {
     pub stack_switches: u64,
     /// Cycles spent crossing the U/T boundary.
     pub extern_cycles: u64,
-    /// Host-side wall time of the request, nanoseconds.  Unlike every cycle
-    /// figure this is *measured*, not simulated — it is what the
-    /// load-vs-serve interference numbers quote (how much a concurrent
+    /// Host-side wall time of the request, nanoseconds, or `None` when the
+    /// caller did not measure it (the virtual-time scale loop).  Unlike
+    /// every cycle figure this is *measured*, not simulated — it is what
+    /// the load-vs-serve interference numbers quote (how much a concurrent
     /// verification slows real request handling down).
-    pub host_nanos: u64,
+    pub host_nanos: Option<u64>,
 }
 
 impl RequestMetrics {
@@ -54,7 +55,7 @@ impl RequestMetrics {
             extern_calls: after.extern_calls - before.extern_calls,
             stack_switches: after.stack_switches - before.stack_switches,
             extern_cycles: after.extern_cycles - before.extern_cycles,
-            host_nanos: 0,
+            host_nanos: None,
         }
     }
 
@@ -91,7 +92,8 @@ pub struct StreamMetrics {
     pub deferred: u64,
     /// Per-request total cycles, kept for the latency percentiles.
     latencies: Vec<u64>,
-    /// Per-request measured host times, kept for the host percentiles.
+    /// Per-request measured host times, kept for the host percentiles
+    /// (requests without a measurement contribute no sample).
     host_latencies: Vec<u64>,
     /// Scheduler queue depths, one sample per admission window (scale runs).
     queue_depth_samples: Vec<u64>,
@@ -108,7 +110,9 @@ impl StreamMetrics {
         let rec = confllvm_obs::recorder();
         if rec.enabled() {
             rec.record_hist("server.request.cycles", r.cycles);
-            rec.record_hist("server.request.host_nanos", r.host_nanos);
+            if let Some(nanos) = r.host_nanos {
+                rec.record_hist("server.request.host_nanos", nanos);
+            }
             rec.record_hist("server.request.dirty_pages", r.dirty_pages);
         }
         self.requests += 1;
@@ -122,9 +126,11 @@ impl StreamMetrics {
         self.extern_calls += r.extern_calls;
         self.stack_switches += r.stack_switches;
         self.extern_cycles += r.extern_cycles;
-        self.host_nanos += r.host_nanos;
         self.latencies.push(r.cycles);
-        self.host_latencies.push(r.host_nanos);
+        if let Some(nanos) = r.host_nanos {
+            self.host_nanos += nanos;
+            self.host_latencies.push(nanos);
+        }
     }
 
     /// Fold another stream's totals into this one.
@@ -279,9 +285,12 @@ mod tests {
         let mut s = StreamMetrics::default();
         for (cycles, nanos) in [(100, 5_000), (100, 9_000), (100, 1_000)] {
             let mut r = req(cycles);
-            r.host_nanos = nanos;
+            r.host_nanos = Some(nanos);
             s.add(&r);
         }
+        // A request without a host measurement adds no placeholder sample.
+        s.add(&req(100));
+        assert_eq!(s.requests, 4);
         assert_eq!(s.host_nanos, 15_000);
         assert_eq!(s.host_percentile(50), 5_000);
         assert_eq!(s.host_percentile(99), 9_000);

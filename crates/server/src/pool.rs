@@ -172,11 +172,7 @@ impl VmPool {
         world: &World,
     ) -> Result<&mut PooledInstance, SpawnError> {
         if !self.instances.contains_key(&session) {
-            let inst = if self.opts.isolate_sessions {
-                self.template.isolated_instance(world)?
-            } else {
-                self.template.instance(world)?
-            };
+            let inst = self.template.session_instance(world, &self.opts)?;
             self.spawned += 1;
             self.instances.insert(session, inst);
         }

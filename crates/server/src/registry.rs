@@ -309,8 +309,6 @@ struct Inner {
     by_name: HashMap<String, BinaryId>,
     binaries: HashMap<BinaryId, BinaryEntry>,
     versions: HashMap<VersionId, VersionEntry>,
-    next_binary: u64,
-    next_version: u64,
 }
 
 /// The versioned registry.  See the module docs for the lifecycle; all
@@ -407,8 +405,7 @@ impl Registry {
             let binary_id = match inner.by_name.get(name) {
                 Some(&id) => id,
                 None => {
-                    inner.next_binary += 1;
-                    let id = BinaryId(inner.next_binary);
+                    let id = BinaryId::mint();
                     inner.by_name.insert(name.to_string(), id);
                     inner.binaries.insert(
                         id,
@@ -420,8 +417,7 @@ impl Registry {
                     id
                 }
             };
-            inner.next_version += 1;
-            let version_id = VersionId(inner.next_version);
+            let version_id = VersionId::mint();
             inner.versions.insert(
                 version_id,
                 VersionEntry {
@@ -954,6 +950,18 @@ mod tests {
         ));
         assert!(err.version().is_none(), "no version minted before compile");
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn registries_never_share_ids() {
+        let opts = CompileOptions::for_config(Config::OurMpx);
+        let a = Registry::new(VerifyPolicy::RequireVerified);
+        let b = Registry::new(VerifyPolicy::RequireVerified);
+        let va = a.submit_source("auth", APP, &opts, None).unwrap();
+        let vb = b.submit_source("auth", APP, &opts, None).unwrap();
+        assert_ne!(va, vb);
+        assert_ne!(a.binary_id("auth"), b.binary_id("auth"));
+        assert_eq!(a.version_state(vb), None, "a foreign version is unknown");
     }
 
     #[test]

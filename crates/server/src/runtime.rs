@@ -280,6 +280,11 @@ pub struct ResidentStats {
     pub mean_peak_pages: f64,
     /// Copy-on-write faults taken across all sessions.
     pub cow_faults: u64,
+    /// Sessions that were given an instance.  A CoW-forked session is
+    /// forked on its first request, so this is the number of distinct
+    /// sessions that executed; the isolated baseline and per-fork-setup
+    /// templates spawn every session up front.
+    pub materialised_sessions: usize,
 }
 
 /// The result of a virtual-time scale run ([`Server::serve_scaled`]).
@@ -473,7 +478,10 @@ impl Server {
     /// workers.  All sessions fork from the version's shared template (or
     /// spawn fully isolated under [`PoolOptions::isolate_sessions`] — the
     /// baseline), and the report carries queueing-aware latency tails plus
-    /// resident-page statistics.
+    /// resident-page statistics.  When a fresh fork is pristine (the setup
+    /// is shared and sessions are not isolated) a session is forked on its
+    /// first dispatched request, so only sessions that execute are ever
+    /// forked ([`ResidentStats::materialised_sessions`]).
     ///
     /// `sessions[i]` must have at least as many requests as the plan sends
     /// to session `i` (build the specs from
@@ -513,21 +521,24 @@ impl Server {
         };
         let pool_opts = self.config.pool;
 
-        // Fork (or isolate) every session's instance up front — the run
-        // models already-admitted sessions, and admission cost is visible
-        // separately via the fork spans.
-        let mut instances: Vec<PooledInstance> = Vec::with_capacity(sessions.len());
-        for s in sessions {
-            let inst = if pool_opts.isolate_sessions {
-                template.isolated_instance(&s.world)
-            } else {
-                template.instance(&s.world)
-            };
-            match inst {
-                Ok(i) => instances.push(i),
-                Err(e) => {
-                    finish(&self.registry, &self.store);
-                    return Err(e.into());
+        // A session's instance is spawned from the template on its first
+        // dispatched request when a fresh one is provably pristine (a CoW
+        // fork of a shared setup owns no page and takes no fault until it
+        // runs), so a session that never executes is never forked and parks
+        // at exactly what an untouched fork would: zero pages, zero faults.
+        // Instances that hold private pages from birth — the isolated
+        // baseline, and per-fork setup, which can also fail at admission —
+        // are still spawned up front so residency is measured honestly and
+        // spawn errors surface before the run.
+        let mut instances: Vec<Option<PooledInstance>> = sessions.iter().map(|_| None).collect();
+        if !template.fork_is_pristine(&pool_opts) {
+            for (slot, s) in instances.iter_mut().zip(sessions) {
+                match template.session_instance(&s.world, &pool_opts) {
+                    Ok(i) => *slot = Some(i),
+                    Err(e) => {
+                        finish(&self.registry, &self.store);
+                        return Err(e.into());
+                    }
                 }
             }
         }
@@ -554,7 +565,6 @@ impl Server {
             if first_error.is_some() {
                 return drain; // drain the plan cheaply once the run has failed
             }
-            let inst = &mut instances[si];
             let Some(req) = sessions[si].requests.get(ri) else {
                 first_error = Some(ServeError::PlanMismatch {
                     session: sessions[si].id,
@@ -562,6 +572,17 @@ impl Server {
                 });
                 return drain;
             };
+            let slot = &mut instances[si];
+            if slot.is_none() {
+                match template.session_instance(&sessions[si].world, &pool_opts) {
+                    Ok(i) => *slot = Some(i),
+                    Err(e) => {
+                        first_error = Some(e.into());
+                        return drain;
+                    }
+                }
+            }
+            let inst = slot.as_mut().expect("materialised above");
             let cow_before = inst.vm.cow_faults();
             let (dirty, restore_cycles) = inst.reset(&pool_opts);
             if let Some(input) = &req.input {
@@ -603,16 +624,18 @@ impl Server {
             return Err(e);
         }
 
-        // Park every session (rewind to its snapshot) and measure what an
-        // idle session actually keeps resident.
+        // Park every materialised session (rewind to its snapshot) and
+        // measure what an idle session actually keeps resident.  A session
+        // that was never forked holds nothing, exactly like an untouched
+        // fork, so it counts as zero pages and zero faults.
         let mut parked: Vec<usize> = Vec::with_capacity(instances.len());
         let mut cow_faults = 0u64;
-        for inst in &mut instances {
+        for inst in instances.iter_mut().flatten() {
             inst.reset(&pool_opts);
             parked.push(inst.resident_private_pages());
             cow_faults += inst.vm.cow_faults();
         }
-        let n = parked.len().max(1);
+        let n = sessions.len().max(1);
         let resident = ResidentStats {
             template_pages: template.shared_pages(),
             mean_parked_pages: parked.iter().sum::<usize>() as f64 / n as f64,
@@ -620,6 +643,7 @@ impl Server {
             total_parked_pages: parked.iter().sum(),
             mean_peak_pages: peak_pages.iter().sum::<usize>() as f64 / n as f64,
             cow_faults,
+            materialised_sessions: parked.len(),
         };
 
         let mut metrics = StreamMetrics::default();
@@ -653,6 +677,7 @@ impl Server {
             span.attr("shed", sched_result.shed);
             span.attr("windows", sched_result.windows);
             span.attr("forked", !pool_opts.isolate_sessions);
+            span.attr("materialised", resident.materialised_sessions);
             span.attr("template_pages", resident.template_pages);
             span.attr("total_parked_pages", resident.total_parked_pages);
             span.attr("slo_fast_breaches", slo.fast_breaches);
@@ -839,7 +864,7 @@ fn run_session_pooled(
         m.restore_cycles = restore_cycles;
         m.dirty_pages = dirty;
         m.cycles += restore_cycles;
-        m.host_nanos = host_t0.elapsed().as_nanos() as u64;
+        m.host_nanos = Some(host_t0.elapsed().as_nanos() as u64);
         if req_span.active() {
             req_span.attr("index", index);
             req_span.attr("dirty_pages", m.dirty_pages);
@@ -906,7 +931,7 @@ fn run_session_cold(
         let mut m = RequestMetrics::from_stats_delta(&before, &vm.stats);
         m.setup_cycles = setup_cycles;
         m.cycles += setup_cycles;
-        m.host_nanos = host_t0.elapsed().as_nanos() as u64;
+        m.host_nanos = Some(host_t0.elapsed().as_nanos() as u64);
         if req_span.active() {
             req_span.attr("index", index);
             req_span.attr("setup_cycles", m.setup_cycles);
@@ -1150,8 +1175,8 @@ mod tests {
         }
     }
 
-    fn scale_inputs(sessions: usize, arrivals: usize) -> (Vec<SessionSpec>, ArrivalPlan) {
-        let plan = RequestGen::new(9).arrival_plan(&ArrivalOptions {
+    fn scale_plan(sessions: usize, arrivals: usize) -> ArrivalPlan {
+        RequestGen::new(9).arrival_plan(&ArrivalOptions {
             sessions,
             arrivals,
             zipf: true,
@@ -1160,9 +1185,13 @@ mod tests {
             off_windows: 1,
             on_per_window: 8,
             off_per_window: 2,
-        });
-        let specs = plan
-            .per_session_counts(sessions)
+        })
+    }
+
+    /// `sessions` nginx sessions, each with as many requests as `plan`
+    /// sends it.
+    fn nginx_scale_specs(plan: &ArrivalPlan, sessions: usize) -> Vec<SessionSpec> {
+        plan.per_session_counts(sessions)
             .iter()
             .enumerate()
             .map(|(i, &count)| {
@@ -1176,8 +1205,27 @@ mod tests {
                 );
                 SessionSpec::new(i, world, reqs)
             })
-            .collect();
-        (specs, plan)
+            .collect()
+    }
+
+    fn scale_inputs(sessions: usize, arrivals: usize) -> (Vec<SessionSpec>, ArrivalPlan) {
+        let plan = scale_plan(sessions, arrivals);
+        (nginx_scale_specs(&plan, sessions), plan)
+    }
+
+    fn isolated_server(server: &Server) -> Server {
+        let config = ServerConfig::new().pool(PoolOptions {
+            isolate_sessions: true,
+            ..Default::default()
+        });
+        Server::new(Arc::clone(&server.registry), config)
+    }
+
+    fn sessions_executed(r: &ScaleReport) -> usize {
+        r.sessions
+            .iter()
+            .filter(|s| !s.exit_codes.is_empty())
+            .count()
     }
 
     #[test]
@@ -1189,12 +1237,7 @@ mod tests {
             .serve_scaled(binary, &sessions, &plan, &sched)
             .unwrap();
 
-        let iso_config = ServerConfig::new().pool(PoolOptions {
-            isolate_sessions: true,
-            ..Default::default()
-        });
-        let iso_server = Server::new(Arc::clone(&server.registry), iso_config);
-        let isolated = iso_server
+        let isolated = isolated_server(&server)
             .serve_scaled(binary, &sessions, &plan, &sched)
             .unwrap();
 
@@ -1225,6 +1268,119 @@ mod tests {
             forked.resident.mean_parked_pages
         );
         assert!(forked.resident.cow_faults > 0, "requests must CoW-fault");
+    }
+
+    #[test]
+    fn forked_sessions_materialise_on_first_request_only() {
+        // Fold a 48-session plan onto its first 6 sessions: 42 of the 48
+        // sessions never receive a request.
+        let (n, k) = (48, 6);
+        let mut plan = scale_plan(n, 96);
+        for a in &mut plan.arrivals {
+            a.session %= k;
+        }
+        let (server, binary) = nginx_server();
+        let sched = SchedulerConfig::default();
+        let sessions = nginx_scale_specs(&plan, n);
+        let lazy = server
+            .serve_scaled(binary, &sessions, &plan, &sched)
+            .unwrap();
+        assert_eq!(lazy.executed, 96);
+        assert_eq!(sessions_executed(&lazy), k);
+        assert_eq!(
+            lazy.resident.materialised_sessions, k,
+            "only sessions that executed are forked"
+        );
+
+        // The same plan over exactly the k busy sessions materialises all
+        // of them, so it is what forking every session up front would
+        // measure for them; the 42 idle sessions must add nothing to it.
+        let busy = server
+            .serve_scaled(binary, &nginx_scale_specs(&plan, k), &plan, &sched)
+            .unwrap();
+        assert_eq!(busy.resident.materialised_sessions, k);
+        assert_eq!(lazy.observable(), busy.observable());
+        assert_eq!(lazy.makespan_cycles, busy.makespan_cycles);
+        let (l, b) = (&lazy.resident, &busy.resident);
+        assert_eq!(l.template_pages, b.template_pages);
+        assert_eq!(l.total_parked_pages, b.total_parked_pages);
+        assert_eq!(l.max_parked_pages, b.max_parked_pages);
+        assert_eq!(l.cow_faults, b.cow_faults);
+        assert!(l.cow_faults > 0, "requests must CoW-fault");
+        assert!(
+            (l.mean_peak_pages * n as f64 - b.mean_peak_pages * k as f64).abs() < 1e-9,
+            "idle sessions contribute zero peak pages: {} over {n} vs {} over {k}",
+            l.mean_peak_pages,
+            b.mean_peak_pages
+        );
+
+        // Against the isolated baseline, which spawns every session up
+        // front: identical observables, and the residency win intact.
+        let isolated = isolated_server(&server)
+            .serve_scaled(binary, &sessions, &plan, &sched)
+            .unwrap();
+        assert_eq!(isolated.resident.materialised_sessions, n);
+        assert_eq!(lazy.observable(), isolated.observable());
+        assert_eq!(lazy.executed, isolated.executed);
+        for (f, i) in lazy.sessions.iter().zip(&isolated.sessions) {
+            assert_eq!(f.exit_codes, i.exit_codes);
+        }
+        assert!(
+            isolated.resident.mean_parked_pages >= 10.0 * lazy.resident.mean_parked_pages.max(0.1),
+            "expected >=10x drop: isolated {} vs forked {}",
+            isolated.resident.mean_parked_pages,
+            lazy.resident.mean_parked_pages
+        );
+    }
+
+    #[test]
+    fn per_fork_setup_sessions_are_still_spawned_up_front() {
+        // ldap's `populate` reads the session's passwords, so its setup
+        // runs in every fork: a fresh fork is not pristine and every
+        // session is materialised before the run, idle or not.
+        let (server, binary) = ldap_server(Config::OurMpx, 32);
+        let n = 12;
+        let plan = scale_plan(n, 24);
+        let sessions: Vec<SessionSpec> = plan
+            .per_session_counts(n)
+            .iter()
+            .enumerate()
+            .map(|(id, &count)| {
+                let mut w = confllvm_vm::World::new();
+                w.set_password("user", format!("secret-of-{id}").as_bytes());
+                let reqs = RequestGen::new(1000 + id as u64).stream(
+                    StreamKind::LdapMix {
+                        entries: 32,
+                        hit_pct: 50,
+                    },
+                    count,
+                );
+                SessionSpec::new(id, w, reqs)
+            })
+            .collect();
+        let sched = SchedulerConfig::default();
+        let forked = server
+            .serve_scaled(binary, &sessions, &plan, &sched)
+            .unwrap();
+        let isolated = isolated_server(&server)
+            .serve_scaled(binary, &sessions, &plan, &sched)
+            .unwrap();
+        assert!(
+            sessions_executed(&forked) < n,
+            "the plan must leave some sessions idle"
+        );
+        assert_eq!(forked.resident.materialised_sessions, n);
+        assert_eq!(isolated.resident.materialised_sessions, n);
+        assert!(
+            forked.resident.mean_parked_pages > 0.0,
+            "per-fork setup leaves private pages in every session"
+        );
+        assert_eq!(forked.executed, isolated.executed);
+        assert_eq!(forked.observable(), isolated.observable());
+        for (f, i) in forked.sessions.iter().zip(&isolated.sessions) {
+            assert_eq!(f.id, i.id);
+            assert_eq!(f.exit_codes, i.exit_codes);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use confllvm_vm::{Vm, VmOptions, VmSnapshot, World};
 
 use crate::handles::VersionId;
-use crate::pool::{PooledInstance, SpawnError};
+use crate::pool::{PoolOptions, PooledInstance, SpawnError};
 use crate::registry::{Registry, ServiceBinary, VersionState};
 
 /// One version's shared fork template: the binary loaded (and, when
@@ -117,6 +117,31 @@ impl SessionTemplate {
     /// Pages in the shared snapshot — the one-time cost all sessions split.
     pub fn shared_pages(&self) -> usize {
         self.snapshot.captured_pages()
+    }
+
+    /// Whether a fresh instance spawned under `pool` is pristine: a CoW
+    /// fork of the shared post-setup snapshot that owns no page, has taken
+    /// no CoW fault and cannot fail.  Such an instance is indistinguishable
+    /// from no instance until it first runs, so callers may defer spawning
+    /// it.  Isolated instances (a full private load) and per-fork setup
+    /// (private pages from birth, and a setup run that can fault) are not.
+    pub(crate) fn fork_is_pristine(&self, pool: &PoolOptions) -> bool {
+        self.shared_setup && !pool.isolate_sessions
+    }
+
+    /// Spawn a session's warm instance under `pool`'s policy: a CoW fork
+    /// ([`SessionTemplate::instance`]) or, under
+    /// [`PoolOptions::isolate_sessions`], the isolated baseline.
+    pub(crate) fn session_instance(
+        &self,
+        world: &World,
+        pool: &PoolOptions,
+    ) -> Result<PooledInstance, SpawnError> {
+        if pool.isolate_sessions {
+            self.isolated_instance(world)
+        } else {
+            self.instance(world)
+        }
     }
 
     /// Fork a session instance: CoW memory over the template snapshot, the
