@@ -23,6 +23,8 @@ use confllvm_core::{compile, CompileOptions, Config};
 use confllvm_workloads::{nginx, spec};
 use std::time::Instant;
 
+use crate::{BenchReport, Value};
+
 /// Aggregate SPEC speedup the section must clear (ISSUE 9 acceptance).
 pub const REQUIRED_SPEC_SPEEDUP: f64 = 3.0;
 
@@ -359,79 +361,32 @@ pub fn render_interp_speed(report: &InterpSpeedReport) -> String {
     out
 }
 
-/// Serialise as the flat scalar JSON the golden diff understands: simulated
-/// counters and exit codes are deterministic (exact-diffed); `*_host_nanos`
-/// and `*speedup` keys are machine-dependent (positive-only).
-pub fn interp_speed_json(report: &InterpSpeedReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"interp_speed\"".into(), false);
-    field("quick".into(), report.quick.to_string(), false);
-    field("rows".into(), report.rows.len().to_string(), false);
-    field(
-        "required_spec_speedup".into(),
-        format!("{REQUIRED_SPEC_SPEEDUP:.1}"),
-        false,
+/// The section's benchmark report: simulated counters and exit codes are
+/// deterministic (exact-diffed); `*_host_nanos` and `*speedup` keys are
+/// machine-dependent (positive-only).
+pub fn interp_speed_json(report: &InterpSpeedReport) -> BenchReport {
+    let mut out = BenchReport::new("interp_speed", report.quick);
+    out.push("rows", report.rows.len());
+    out.push(
+        "required_spec_speedup",
+        Value::fixed(REQUIRED_SPEC_SPEEDUP, 1),
     );
-    field(
-        "spec_speedup".into(),
-        format!("{:.3}", report.spec_speedup),
-        false,
-    );
-    for (i, r) in report.rows.iter().enumerate() {
+    out.push("spec_speedup", report.spec_speedup);
+    for r in &report.rows {
         let k = &r.workload;
-        let last_row = i + 1 == report.rows.len();
-        field(format!("{k}.sim_cycles"), r.sim_cycles.to_string(), false);
-        field(
-            format!("{k}.sim_instructions"),
-            r.sim_instructions.to_string(),
-            false,
-        );
-        field(format!("{k}.exit_code"), r.exit_code.to_string(), false);
-        field(
-            format!("{k}.legacy_host_nanos"),
-            r.legacy_host_nanos.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.block_host_nanos"),
-            r.block_host_nanos.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.speedup"),
-            format!("{:.3}", r.speedup()),
-            last_row,
-        );
+        out.push(format!("{k}.sim_cycles"), r.sim_cycles);
+        out.push(format!("{k}.sim_instructions"), r.sim_instructions);
+        out.push(format!("{k}.exit_code"), r.exit_code);
+        out.push(format!("{k}.legacy_host_nanos"), r.legacy_host_nanos);
+        out.push(format!("{k}.block_host_nanos"), r.block_host_nanos);
+        out.push(format!("{k}.speedup"), r.speedup());
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Write the section JSON atomically (temp file + rename), like the other
-/// golden-gated sections.
-pub fn write_interp_speed_json(
-    report: &InterpSpeedReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = interp_speed_json(report);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff_bench_json;
 
     fn fake_report() -> InterpSpeedReport {
         InterpSpeedReport {
@@ -463,19 +418,20 @@ mod tests {
     #[test]
     fn json_is_flat_and_diffable_with_timing_tolerance() {
         let a = interp_speed_json(&fake_report());
+        assert_eq!(BenchReport::parse(&a.render()).unwrap(), a);
         // Same counters, different host timings: must still diff clean.
         let mut slower = fake_report();
         slower.rows[0].legacy_host_nanos = 123_456;
         slower.rows[1].block_host_nanos = 77_777;
         slower.spec_speedup = 3.2;
         let b = interp_speed_json(&slower);
-        let errors = diff_bench_json(&a, &b).expect("parses");
+        let errors = a.diff(&b);
         assert!(errors.is_empty(), "{errors:?}");
         // A simulated-counter drift is a hard mismatch.
         let mut drift = fake_report();
         drift.rows[0].sim_cycles += 1;
         let c = interp_speed_json(&drift);
-        let errors = diff_bench_json(&a, &c).expect("parses");
+        let errors = a.diff(&c);
         assert!(!errors.is_empty(), "counter drift must be caught");
     }
 

@@ -2,13 +2,12 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (Section 7) on top of the simulator.  The `repro`
-//! binary prints the tables; the Criterion benches under `benches/` time the
-//! same workloads so `cargo bench` exercises the identical code paths.
+//! binary prints the tables and writes each measured section's numbers as a
+//! golden-diffed `BENCH_<section>.json` through one [`BenchReport`] type.
 //!
 //! Absolute numbers are simulated cycles, not seconds; what is compared with
 //! the paper is the *shape*: which configuration wins, by roughly what
-//! factor, and how the gap moves with the workload parameter (see
-//! EXPERIMENTS.md).
+//! factor, and how the gap moves with the workload parameter.
 
 use confllvm_core::codegen::{PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
 use confllvm_core::vm::World;
@@ -21,24 +20,23 @@ use confllvm_workloads::{ldap, merkle, nginx, overhead_pct, privado, spec, vuln}
 
 pub mod interp_speed;
 pub mod profile;
+pub mod report;
 pub mod server_scale;
 pub mod verify_scale;
 
 pub use interp_speed::{
-    interp_speed_json, interp_speed_report, render_interp_speed, write_interp_speed_json,
-    InterpSpeedReport, InterpSpeedRow,
+    interp_speed_json, interp_speed_report, render_interp_speed, InterpSpeedReport, InterpSpeedRow,
 };
 pub use profile::{
-    profile_json, profile_report, render_profile, write_profile_json, ProfileReport, ProfileRow,
-    ServerProfileRow,
+    profile_json, profile_report, render_profile, ProfileReport, ProfileRow, ServerProfileRow,
 };
+pub use report::{BenchReport, Value};
 pub use server_scale::{
-    render_server_scale, server_scale_json, server_scale_report, write_server_scale_json,
-    ServerScalePoint, ServerScaleReport,
+    render_server_scale, server_scale_json, server_scale_report, ServerScalePoint,
+    ServerScaleReport,
 };
 pub use verify_scale::{
-    diff_bench_json, render_verify_scale, verify_scale_json, verify_scale_report,
-    write_verify_scale_json, VerifyScaleReport,
+    render_verify_scale, verify_scale_json, verify_scale_report, VerifyScaleReport,
 };
 
 /// One row of a figure: a labelled series of (configuration, value) pairs.
@@ -82,46 +80,20 @@ impl Figure {
         out
     }
 
-    /// Serialise as the flat scalar JSON the golden diff understands.
-    /// Every value is a ratio of simulated-cycle totals, so every key
-    /// diffs exactly — figures carry no timing-class keys at all.
-    pub fn figure_json(&self, section: &str, quick: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"section\": \"{section}\",\n"));
-        s.push_str(&format!("  \"quick\": {quick},\n"));
-        s.push_str(&format!("  \"id\": \"{}\",\n", self.id));
-        s.push_str(&format!("  \"metric\": \"{}\",\n", self.metric));
-        s.push_str(&format!("  \"rows\": {}", self.rows.len()));
+    /// The figure's benchmark report.  Every value is a ratio of
+    /// simulated-cycle totals, so every key diffs exactly — figures carry
+    /// no timing-class keys at all.
+    pub fn figure_json(&self, section: &str, quick: bool) -> BenchReport {
+        let mut r = BenchReport::new(section, quick);
+        r.push("id", self.id);
+        r.push("metric", self.metric);
+        r.push("rows", self.rows.len());
         for row in &self.rows {
             for (config, value) in &row.values {
-                s.push_str(&format!(
-                    ",\n  \"{}.{}\": {:.3}",
-                    row.label,
-                    config.name(),
-                    value
-                ));
+                r.push(format!("{}.{}", row.label, config.name()), *value);
             }
         }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Write the figure benchmark JSON atomically (temp file + rename).
-    pub fn write_figure_json(
-        &self,
-        section: &str,
-        quick: bool,
-        path: &std::path::Path,
-    ) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let json = self.figure_json(section, quick);
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        r
     }
 }
 
@@ -307,67 +279,26 @@ pub fn ablation_passes_rows(scale: i64) -> Vec<AblationPassesRow> {
     rows
 }
 
-/// Serialise the ablation rows as the flat scalar JSON the golden diff
-/// understands.  Every key — executed checks and simulated cycles under
-/// each pipeline — is deterministic, so the whole file is exact-diffed
-/// against its golden copy.
-pub fn ablation_passes_json(rows: &[AblationPassesRow], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"ablation_passes\"".into(), false);
-    field("quick".into(), quick.to_string(), false);
-    field("rows".into(), rows.len().to_string(), false);
-    field(
-        "improved".into(),
-        rows.iter().filter(|r| r.improved()).count().to_string(),
-        false,
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let last_row = i + 1 == rows.len();
+/// The ablation rows' benchmark report.  Every key — executed checks and
+/// simulated cycles under each pipeline — is deterministic, so the whole
+/// file is exact-diffed against its golden copy.
+pub fn ablation_passes_json(rows: &[AblationPassesRow], quick: bool) -> BenchReport {
+    let mut report = BenchReport::new("ablation_passes", quick);
+    report.push("rows", rows.len());
+    report.push("improved", rows.iter().filter(|r| r.improved()).count());
+    for r in rows {
         let k = r.workload;
-        field(format!("{k}.checks_pr1"), r.checks_pr1.to_string(), false);
-        field(format!("{k}.checks_full"), r.checks_full.to_string(), false);
-        field(format!("{k}.cycles_pr1"), r.cycles_pr1.to_string(), false);
-        field(
-            format!("{k}.cycles_full"),
-            r.cycles_full.to_string(),
-            last_row,
-        );
+        report.push(format!("{k}.checks_pr1"), r.checks_pr1);
+        report.push(format!("{k}.checks_full"), r.checks_full);
+        report.push(format!("{k}.cycles_pr1"), r.cycles_pr1);
+        report.push(format!("{k}.cycles_full"), r.cycles_full);
     }
-    s.push_str("}\n");
-    s
+    report
 }
 
-/// Write the ablation benchmark JSON atomically (temp file + rename), like
-/// [`write_verify_scale_json`].
-pub fn write_ablation_passes_json(
-    rows: &[AblationPassesRow],
-    quick: bool,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = ablation_passes_json(rows, quick);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// The `ablation_passes` section: what cross-block redundant-check
+/// The `ablation_passes` section's table: what cross-block redundant-check
 /// elimination and loop-invariant hoisting buy on top of the Section 5.1
 /// optimisations, per workload, in executed checks and simulated cycles.
-pub fn ablation_passes_table(scale: i64) -> String {
-    ablation_passes_table_for(&ablation_passes_rows(scale))
-}
-
-/// Render the ablation table for rows the caller already computed (so one
-/// run can feed both the table and the JSON emission).
 pub fn ablation_passes_table_for(rows: &[AblationPassesRow]) -> String {
     let mut out = String::new();
     out.push_str("== Ablation — machine pass pipelines on OurMPX (pr1 = Section 5.1 trio, full = +hoist +cross-block)\n");
@@ -626,15 +557,9 @@ pub fn server_throughput_rows(quick: bool) -> Vec<ServerThroughputRow> {
     rows
 }
 
-/// The `server_throughput` section: the serving layer's cold-vs-pooled
-/// comparison (verify-then-load registry, per-session warm instances with
-/// snapshot/reset, multi-session request streams).
-pub fn server_throughput_table(quick: bool) -> String {
-    server_throughput_table_for(&server_throughput_rows(quick))
-}
-
-/// Render the table for rows the caller already computed (so one run can
-/// feed both the table and the JSON emission).
+/// The `server_throughput` section's table: the serving layer's
+/// cold-vs-pooled comparison (verify-then-load registry, per-session warm
+/// instances with snapshot/reset, multi-session request streams).
 pub fn server_throughput_table_for(rows: &[ServerThroughputRow]) -> String {
     let mut out = String::new();
     out.push_str(
@@ -681,105 +606,114 @@ pub fn server_throughput_table_for(rows: &[ServerThroughputRow]) -> String {
     out
 }
 
-/// Serialise the serving rows as the flat scalar JSON the golden diff
-/// understands (same format and tolerance classes as `verify_scale_json`:
-/// `*_micros` keys are machine-dependent host timings, everything else —
-/// simulated cycles, request counts, check counts — is deterministic and
-/// exact-diffed).
-pub fn server_throughput_json(rows: &[ServerThroughputRow], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"server_throughput\"".into(), false);
-    field("quick".into(), quick.to_string(), false);
-    field("rows".into(), rows.len().to_string(), false);
-    for (i, r) in rows.iter().enumerate() {
+/// The serving rows' benchmark report: `*_micros` keys are
+/// machine-dependent host timings, everything else — simulated cycles,
+/// request counts, check counts — is deterministic and exact-diffed.
+pub fn server_throughput_json(rows: &[ServerThroughputRow], quick: bool) -> BenchReport {
+    let mut report = BenchReport::new("server_throughput", quick);
+    report.push("rows", rows.len());
+    for r in rows {
         let k = format!("{}.{}", r.workload, r.config.name());
-        let last_row = i + 1 == rows.len();
-        field(format!("{k}.verified"), r.verified.to_string(), false);
-        field(format!("{k}.requests"), r.requests.to_string(), false);
-        field(
-            format!("{k}.cold_cycles_per_req"),
-            r.cold_cycles_per_req.to_string(),
-            false,
-        );
-        field(
+        report.push(format!("{k}.verified"), r.verified);
+        report.push(format!("{k}.requests"), r.requests);
+        report.push(format!("{k}.cold_cycles_per_req"), r.cold_cycles_per_req);
+        report.push(
             format!("{k}.pooled_cycles_per_req"),
-            r.pooled_cycles_per_req.to_string(),
-            false,
+            r.pooled_cycles_per_req,
         );
-        field(
-            format!("{k}.pooled_p99_cycles"),
-            r.pooled_p99.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.checks_per_req"),
-            r.checks_per_req.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.dirty_pages_per_req"),
-            format!("{:.3}", r.dirty_pages_per_req),
-            false,
-        );
-        field(
-            format!("{k}.cold_host_micros"),
-            r.cold_host_micros.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.pooled_host_micros"),
-            r.pooled_host_micros.to_string(),
-            last_row,
-        );
+        report.push(format!("{k}.pooled_p99_cycles"), r.pooled_p99);
+        report.push(format!("{k}.checks_per_req"), r.checks_per_req);
+        report.push(format!("{k}.dirty_pages_per_req"), r.dirty_pages_per_req);
+        report.push(format!("{k}.cold_host_micros"), r.cold_host_micros);
+        report.push(format!("{k}.pooled_host_micros"), r.pooled_host_micros);
     }
-    s.push_str("}\n");
-    s
+    report
 }
 
-/// Write the serving benchmark JSON atomically (temp file + rename), like
-/// [`write_verify_scale_json`].
-pub fn write_server_throughput_json(
-    rows: &[ServerThroughputRow],
-    quick: bool,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = server_throughput_json(rows, quick);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
+/// The configurations the Section 7.6 exploits are driven under.
+const VULN_CONFIGS: [Config; 3] = [Config::Base, Config::OurMpx, Config::OurSeg];
+
+/// One Section 7.6 exploit driven under one configuration.
+#[derive(Debug, Clone)]
+pub struct VulnRow {
+    pub config: Config,
+    pub exploit: &'static str,
+    pub outcome: vuln::ExploitOutcome,
+}
+
+impl VulnRow {
+    /// The outcome class: `rejected` (by the compiler's static analysis),
+    /// `leaked` (private bytes reached an observable channel), `stopped`
+    /// (a runtime fault ended the exploit) or `no_leak`.
+    pub fn class(&self) -> &'static str {
+        let o = &self.outcome;
+        if o.rejected_at_compile_time {
+            "rejected"
+        } else if o.leaked {
+            "leaked"
+        } else if matches!(o.outcome, Some(confllvm_core::vm::Outcome::Fault(_))) {
+            "stopped"
+        } else {
+            "no_leak"
+        }
     }
-    std::fs::rename(&tmp, path)
+}
+
+/// Drive every Section 7.6 exploit under every configuration.
+pub fn vuln_rows() -> Vec<VulnRow> {
+    VULN_CONFIGS
+        .iter()
+        .flat_map(|&config| {
+            vuln::run_all(config)
+                .into_iter()
+                .map(move |(exploit, outcome)| VulnRow {
+                    config,
+                    exploit,
+                    outcome,
+                })
+        })
+        .collect()
 }
 
 /// Section 7.6: the vulnerability-injection summary.
-pub fn vuln_table() -> String {
+pub fn vuln_table_for(rows: &[VulnRow]) -> String {
     let mut out = String::new();
     out.push_str("== Section 7.6 — vulnerability injection\n");
-    for config in [Config::Base, Config::OurMpx, Config::OurSeg] {
-        for (name, o) in vuln::run_all(config) {
-            let status = if o.rejected_at_compile_time {
-                "rejected at compile time".to_string()
-            } else if o.leaked {
-                "LEAKED".to_string()
-            } else {
-                match &o.outcome {
-                    Some(confllvm_core::vm::Outcome::Fault(f)) => {
-                        format!("stopped at runtime ({f})")
-                    }
-                    _ => "no leak".to_string(),
-                }
-            };
-            out.push_str(&format!("{:<10} {:<24} {}\n", config.name(), name, status));
-        }
+    for r in rows {
+        let status = match (r.class(), &r.outcome.outcome) {
+            ("rejected", _) => "rejected at compile time".to_string(),
+            ("leaked", _) => "LEAKED".to_string(),
+            ("stopped", Some(confllvm_core::vm::Outcome::Fault(f))) => {
+                format!("stopped at runtime ({f})")
+            }
+            _ => "no leak".to_string(),
+        };
+        out.push_str(&format!(
+            "{:<10} {:<24} {}\n",
+            r.config.name(),
+            r.exploit,
+            status
+        ));
     }
     out
+}
+
+/// The exploits' benchmark report: each configuration × exploit's outcome
+/// class plus a per-configuration leak count, all exact-diffed.  Fault
+/// messages stay out: they embed addresses.
+pub fn vuln_json(rows: &[VulnRow], quick: bool) -> BenchReport {
+    let mut report = BenchReport::new("vuln", quick);
+    report.push("rows", rows.len());
+    for config in VULN_CONFIGS {
+        let name = config.name();
+        let mut leaks = 0u64;
+        for r in rows.iter().filter(|r| r.config == config) {
+            report.push(format!("{name}.{}", r.exploit), r.class());
+            leaks += u64::from(r.outcome.leaked);
+        }
+        report.push(format!("{name}.leaks"), leaks);
+    }
+    report
 }
 
 /// Section 7.2/7.3 porting effort table.

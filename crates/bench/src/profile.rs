@@ -33,7 +33,7 @@ use confllvm_obs::{profiler, Profile};
 use confllvm_server::ExecMode;
 use confllvm_workloads::spec;
 
-use crate::{server_for, server_sessions, ServerLoad};
+use crate::{server_for, server_sessions, BenchReport, ServerLoad};
 
 /// Sampling interval for the section, simulated cycles.  Smaller than the
 /// profiler's default so even `--quick` kernel runs collect a dense,
@@ -330,82 +330,38 @@ pub fn render_profile(r: &ProfileReport) -> String {
     out
 }
 
-/// Serialise as the flat scalar JSON the golden diff understands.  Every
-/// key is deterministic sample/check/cycle arithmetic in simulated time,
-/// so the whole file exact-diffs against its golden copy.
-pub fn profile_json(r: &ProfileReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"profile\"".into(), false);
-    field("quick".into(), r.quick.to_string(), false);
-    field("interval".into(), r.interval.to_string(), false);
-    field("rows".into(), r.rows.len().to_string(), false);
-    field("improved".into(), r.improved.to_string(), false);
+/// The section's benchmark report.  Every key is deterministic
+/// sample/check/cycle arithmetic in simulated time, so the whole file
+/// exact-diffs against its golden copy.
+pub fn profile_json(r: &ProfileReport) -> BenchReport {
+    let mut report = BenchReport::new("profile", r.quick);
+    report.push("interval", r.interval);
+    report.push("rows", r.rows.len());
+    report.push("improved", r.improved);
     for p in &r.rows {
         let k = p.workload;
-        field(format!("{k}.samples_pr1"), p.samples_pr1.to_string(), false);
-        field(
-            format!("{k}.samples_full"),
-            p.samples_full.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.check_samples_pr1"),
-            p.check_samples_pr1.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.check_samples_full"),
-            p.check_samples_full.to_string(),
-            false,
-        );
-        field(format!("{k}.sites_pr1"), p.sites_pr1.to_string(), false);
-        field(format!("{k}.sites_full"), p.sites_full.to_string(), false);
-        field(
-            format!("{k}.top_check_word_pr1"),
-            p.top_check_word_pr1.to_string(),
-            false,
-        );
-        field(format!("{k}.checks_pr1"), p.checks_pr1.to_string(), false);
-        field(format!("{k}.checks_full"), p.checks_full.to_string(), false);
-        field(format!("{k}.cycles_pr1"), p.cycles_pr1.to_string(), false);
-        field(format!("{k}.cycles_full"), p.cycles_full.to_string(), false);
+        report.push(format!("{k}.samples_pr1"), p.samples_pr1);
+        report.push(format!("{k}.samples_full"), p.samples_full);
+        report.push(format!("{k}.check_samples_pr1"), p.check_samples_pr1);
+        report.push(format!("{k}.check_samples_full"), p.check_samples_full);
+        report.push(format!("{k}.sites_pr1"), p.sites_pr1);
+        report.push(format!("{k}.sites_full"), p.sites_full);
+        report.push(format!("{k}.top_check_word_pr1"), p.top_check_word_pr1);
+        report.push(format!("{k}.checks_pr1"), p.checks_pr1);
+        report.push(format!("{k}.checks_full"), p.checks_full);
+        report.push(format!("{k}.cycles_pr1"), p.cycles_pr1);
+        report.push(format!("{k}.cycles_full"), p.cycles_full);
     }
     for srv in &r.server {
         let k = srv.workload;
-        field(format!("{k}.samples"), srv.samples.to_string(), false);
-        field(
-            format!("{k}.check_samples"),
-            srv.check_samples.to_string(),
-            false,
-        );
-        field(format!("{k}.sites"), srv.sites.to_string(), false);
-        field(format!("{k}.procs"), srv.procs.to_string(), false);
+        report.push(format!("{k}.samples"), srv.samples);
+        report.push(format!("{k}.check_samples"), srv.check_samples);
+        report.push(format!("{k}.sites"), srv.sites);
+        report.push(format!("{k}.procs"), srv.procs);
     }
-    field(
-        "folded.lines".into(),
-        r.folded.lines().count().to_string(),
-        false,
-    );
-    field("folded.bytes".into(), r.folded.len().to_string(), true);
-    s.push_str("}\n");
-    s
-}
-
-/// Write the profile benchmark JSON atomically (temp file + rename).
-pub fn write_profile_json(r: &ProfileReport, path: &std::path::Path) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = profile_json(r);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    report.push("folded.lines", r.folded.lines().count());
+    report.push("folded.bytes", r.folded.len());
+    report
 }
 
 #[cfg(test)]
@@ -422,7 +378,9 @@ mod tests {
         assert_eq!(a.folded, b.folded, "the combined export must be stable");
         let json = profile_json(&a);
         assert_eq!(json, profile_json(&b), "the JSON must be byte-stable");
-        let errors = crate::diff_bench_json(&json, &json).unwrap();
+        let parsed = BenchReport::parse(&json.render()).unwrap();
+        assert_eq!(parsed, json);
+        let errors = parsed.diff(&json);
         assert!(errors.is_empty(), "{errors:?}");
     }
 

@@ -32,7 +32,7 @@ use confllvm_server::{
 };
 use confllvm_workloads::nginx;
 
-use crate::{server_for, ServerLoad};
+use crate::{server_for, BenchReport, ServerLoad};
 
 /// One sweep point: one forked scale run at `sessions` concurrent sessions.
 #[derive(Debug, Clone)]
@@ -460,161 +460,57 @@ pub fn render_server_scale(r: &ServerScaleReport) -> String {
     out
 }
 
-/// Serialise as the flat scalar JSON the golden diff understands.  Only
-/// `*_host_micros` keys are timing-class; everything else is virtual-time
-/// or page arithmetic and diffs exactly.
-pub fn server_scale_json(r: &ServerScaleReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"server_scale\"".into(), false);
-    field("quick".into(), r.quick.to_string(), false);
-    field("workload".into(), format!("\"{}\"", r.workload), false);
-    field("config".into(), format!("\"{}\"", r.config.name()), false);
-    field("points".into(), r.points.len().to_string(), false);
+/// The section's benchmark report.  Only `*_host_micros` keys are
+/// timing-class; everything else is virtual-time or page arithmetic and
+/// diffs exactly.
+pub fn server_scale_json(r: &ServerScaleReport) -> BenchReport {
+    let mut report = BenchReport::new("server_scale", r.quick);
+    report.push("workload", r.workload);
+    report.push("config", r.config.name());
+    report.push("points", r.points.len());
     for p in &r.points {
         let k = format!("scale.{}", p.sessions);
-        field(format!("{k}.sessions"), p.sessions.to_string(), false);
-        field(format!("{k}.arrivals"), p.arrivals.to_string(), false);
-        field(format!("{k}.executed"), p.executed.to_string(), false);
-        field(format!("{k}.shed"), p.shed.to_string(), false);
-        field(format!("{k}.deferred"), p.deferred.to_string(), false);
-        field(format!("{k}.windows"), p.windows.to_string(), false);
-        field(
-            format!("{k}.max_queue_depth"),
-            p.max_queue_depth.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_queue_depth"),
-            format!("{:.3}", p.mean_queue_depth),
-            false,
-        );
-        field(
-            format!("{k}.p99_virtual_cycles"),
-            p.p99_virtual_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.p999_virtual_cycles"),
-            p.p999_virtual_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.p999_service_cycles"),
-            p.p999_service_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.template_pages"),
-            p.template_pages.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_parked_pages"),
-            format!("{:.3}", p.mean_parked_pages),
-            false,
-        );
-        field(
-            format!("{k}.max_parked_pages"),
-            p.max_parked_pages.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_peak_pages"),
-            format!("{:.3}", p.mean_peak_pages),
-            false,
-        );
-        field(format!("{k}.cow_faults"), p.cow_faults.to_string(), false);
-        field(
-            format!("{k}.makespan_cycles"),
-            p.makespan_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_bad_windows"),
-            p.slo_bad_windows.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_fast_breaches"),
-            p.slo_fast_breaches.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_slow_breaches"),
-            p.slo_slow_breaches.to_string(),
-            false,
-        );
-        field(format!("{k}.host_micros"), p.host_micros.to_string(), false);
+        report.push(format!("{k}.sessions"), p.sessions);
+        report.push(format!("{k}.arrivals"), p.arrivals);
+        report.push(format!("{k}.executed"), p.executed);
+        report.push(format!("{k}.shed"), p.shed);
+        report.push(format!("{k}.deferred"), p.deferred);
+        report.push(format!("{k}.windows"), p.windows);
+        report.push(format!("{k}.max_queue_depth"), p.max_queue_depth);
+        report.push(format!("{k}.mean_queue_depth"), p.mean_queue_depth);
+        report.push(format!("{k}.p99_virtual_cycles"), p.p99_virtual_cycles);
+        report.push(format!("{k}.p999_virtual_cycles"), p.p999_virtual_cycles);
+        report.push(format!("{k}.p999_service_cycles"), p.p999_service_cycles);
+        report.push(format!("{k}.template_pages"), p.template_pages);
+        report.push(format!("{k}.mean_parked_pages"), p.mean_parked_pages);
+        report.push(format!("{k}.max_parked_pages"), p.max_parked_pages);
+        report.push(format!("{k}.mean_peak_pages"), p.mean_peak_pages);
+        report.push(format!("{k}.cow_faults"), p.cow_faults);
+        report.push(format!("{k}.makespan_cycles"), p.makespan_cycles);
+        report.push(format!("{k}.slo_bad_windows"), p.slo_bad_windows);
+        report.push(format!("{k}.slo_fast_breaches"), p.slo_fast_breaches);
+        report.push(format!("{k}.slo_slow_breaches"), p.slo_slow_breaches);
+        report.push(format!("{k}.host_micros"), p.host_micros);
     }
-    field("quiet.sessions".into(), r.quiet_sessions.to_string(), false);
-    field("quiet.windows".into(), r.quiet_windows.to_string(), false);
-    field("quiet.breaches".into(), r.quiet_breaches.to_string(), false);
-    field(
-        "baseline.sessions".into(),
-        r.baseline_sessions.to_string(),
-        false,
+    report.push("quiet.sessions", r.quiet_sessions);
+    report.push("quiet.windows", r.quiet_windows);
+    report.push("quiet.breaches", r.quiet_breaches);
+    report.push("baseline.sessions", r.baseline_sessions);
+    report.push(
+        "baseline.isolated_mean_parked_pages",
+        r.isolated_mean_parked_pages,
     );
-    field(
-        "baseline.isolated_mean_parked_pages".into(),
-        format!("{:.3}", r.isolated_mean_parked_pages),
-        false,
-    );
-    field(
-        "baseline.resident_improvement".into(),
-        format!("{:.3}", r.resident_improvement),
-        false,
-    );
-    field(
-        "baseline.observables_match".into(),
-        r.observables_match.to_string(),
-        false,
-    );
+    report.push("baseline.resident_improvement", r.resident_improvement);
+    report.push("baseline.observables_match", r.observables_match);
+    report.push("baseline.isolated_host_micros", r.isolated_host_micros);
     // The real-thread serve leg only runs in the full sweep; quick output
     // omits the keys entirely so the quick golden stays byte-identical.
-    field(
-        "baseline.isolated_host_micros".into(),
-        r.isolated_host_micros.to_string(),
-        r.live_serve_sessions == 0,
-    );
     if r.live_serve_sessions > 0 {
-        field(
-            "live_serve.sessions".into(),
-            r.live_serve_sessions.to_string(),
-            false,
-        );
-        field(
-            "live_serve.requests".into(),
-            r.live_serve_requests.to_string(),
-            false,
-        );
-        field(
-            "live_serve.host_micros".into(),
-            r.live_serve_host_micros.to_string(),
-            true,
-        );
+        report.push("live_serve.sessions", r.live_serve_sessions);
+        report.push("live_serve.requests", r.live_serve_requests);
+        report.push("live_serve.host_micros", r.live_serve_host_micros);
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Write the scale benchmark JSON atomically (temp file + rename).
-pub fn write_server_scale_json(
-    r: &ServerScaleReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = server_scale_json(r);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    report
 }
 
 #[cfg(test)]
@@ -645,7 +541,9 @@ mod tests {
     fn scale_json_round_trips_and_diffs_cleanly_against_itself() {
         let r = server_scale_report(true);
         let json = server_scale_json(&r);
-        let errors = crate::diff_bench_json(&json, &json).unwrap();
+        let parsed = BenchReport::parse(&json.render()).unwrap();
+        assert_eq!(parsed, json);
+        let errors = parsed.diff(&json);
         assert!(errors.is_empty(), "{errors:?}");
         assert!(render_server_scale(&r).contains("10000"));
     }
@@ -682,13 +580,13 @@ mod tests {
             quiet_breaches: 0,
             metrics_series: String::new(),
         };
-        assert!(!server_scale_json(&r).contains("live_serve."));
+        assert!(!server_scale_json(&r).render().contains("live_serve."));
         r.live_serve_sessions = 10_000;
         r.live_serve_requests = 10_000;
         r.live_serve_host_micros = 1;
         let json = server_scale_json(&r);
-        assert!(json.contains("\"live_serve.sessions\": 10000"));
-        let errors = crate::diff_bench_json(&json, &json).unwrap();
+        assert_eq!(json.get("live_serve.sessions"), Some("10000"));
+        let errors = json.diff(&json);
         assert!(errors.is_empty(), "{errors:?}");
     }
 
@@ -703,8 +601,8 @@ mod tests {
         assert_eq!(r.quiet_breaches, 0);
         assert!(r.quiet_windows > 0, "the quiet run must produce windows");
         let json = server_scale_json(&r);
-        assert!(json.contains(".slo_fast_breaches"));
-        assert!(json.contains("\"quiet.breaches\": 0"));
+        assert!(json.keys().any(|k| k.ends_with(".slo_fast_breaches")));
+        assert_eq!(json.get("quiet.breaches"), Some("0"));
         // The top point's telemetry rides along as metrics-series JSONL.
         let first = r.metrics_series.lines().next().unwrap();
         assert!(first.contains("\"schema\":\"confllvm.metrics-series.v1\""));

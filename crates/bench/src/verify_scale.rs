@@ -18,11 +18,10 @@
 //! 4. **Load-vs-serve interference** — measured host p99 request latency
 //!    while concurrent verifications hammer the same machine, vs quiet.
 //!
-//! The section also emits `BENCH_verify_scale.json` (atomic write) whose
-//! deterministic keys are diffed against a golden copy in CI; see
-//! [`diff_bench_json`] for the tolerance classes.
+//! The section also emits `BENCH_verify_scale.json` whose deterministic
+//! keys are diffed against a golden copy in CI; see [`crate::report`] for
+//! the tolerance classes.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +34,8 @@ use confllvm_server::{
 };
 use confllvm_verify::{verify_fleet, verify_with, VerifyCache, VerifyOptions};
 use confllvm_workloads::spec;
+
+use crate::BenchReport;
 
 /// Worker count the parallel measurements model.
 const FLEET_THREADS: usize = 4;
@@ -574,173 +575,31 @@ pub fn render_verify_scale(r: &VerifyScaleReport) -> String {
     out
 }
 
-/// Serialise the report as JSON.  Scalars only, keys sorted by emission
-/// order, so the golden diff can parse it with the tiny reader below.
-pub fn verify_scale_json(r: &VerifyScaleReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: &str, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section", "\"verify_scale\"".to_string(), false);
-    field("quick", r.quick.to_string(), false);
-    field("fleet.binaries", r.fleet_binaries.to_string(), false);
-    field("fleet.procedures", r.fleet_procedures.to_string(), false);
-    field("fleet.accepted", r.accepted.to_string(), false);
-    field(
-        "serial.total_task_micros",
-        r.serial_total_micros.to_string(),
-        false,
-    );
-    field("parallel.threads", r.parallel_threads.to_string(), false);
-    field(
-        "parallel.makespan_micros",
-        r.parallel_makespan_micros.to_string(),
-        false,
-    );
-    field(
-        "parallel.modeled_speedup",
-        format!("{:.3}", r.modeled_speedup),
-        false,
-    );
-    field(
-        "cache.first_micros",
-        r.cache_first_micros.to_string(),
-        false,
-    );
-    field(
-        "cache.second_micros",
-        r.cache_second_micros.to_string(),
-        false,
-    );
-    field("cache.speedup", format!("{:.3}", r.cache_speedup), false);
-    field("cache.hits", r.cache_hits.to_string(), false);
-    field("cache.misses", r.cache_misses.to_string(), false);
-    field("hot_swap.served_v1", r.swap.served_v1.to_string(), false);
-    field("hot_swap.served_v2", r.swap.served_v2.to_string(), false);
-    field(
-        "hot_swap.unverified_serves",
-        r.swap.unverified_serves.to_string(),
-        false,
-    );
-    field(
-        "hot_swap.v1_state",
-        format!("\"{}\"", r.swap.v1_state),
-        false,
-    );
-    field(
-        "hot_swap.v2_state",
-        format!("\"{}\"", r.swap.v2_state),
-        false,
-    );
-    field(
-        "hot_swap.tampered_state",
-        format!("\"{}\"", r.swap.tampered_state),
-        false,
-    );
-    field(
-        "hot_swap.observables_stable",
-        r.swap.observables_stable.to_string(),
-        false,
-    );
-    field(
-        "interference.quiet_p99_nanos",
-        r.quiet_p99_nanos.to_string(),
-        false,
-    );
-    field(
-        "interference.swap_p99_nanos",
-        r.swap_p99_nanos.to_string(),
-        true,
-    );
-    s.push_str("}\n");
-    s
-}
-
-/// Write the JSON atomically (temp file + rename) so a crashed run never
-/// leaves a half-written benchmark file behind.
-pub fn write_verify_scale_json(
-    r: &VerifyScaleReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    let json = verify_scale_json(r);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// Parse the flat `"key": value` JSON this module emits into (key, value)
-/// pairs.  Only handles the subset we write: one scalar field per line.
-fn parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line == "{" || line == "}" || line.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else {
-            return Err(format!("unparseable line: `{line}`"));
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let value = value.trim().trim_matches('"').to_string();
-        out.push((key, value));
-    }
-    if out.is_empty() {
-        return Err("no fields found".to_string());
-    }
-    Ok(out)
-}
-
-/// Is this key a host-timing measurement (machine-dependent)?
-fn is_timing_key(key: &str) -> bool {
-    key.ends_with("_micros") || key.ends_with("_nanos") || key.ends_with("speedup")
-}
-
-/// Diff a freshly emitted benchmark JSON against the golden copy.
-///
-/// Two tolerance classes:
-/// * **timing keys** (`*_micros`, `*_nanos`, `*speedup`) are machine-
-///   dependent — both sides must merely be positive numbers;
-/// * **everything else** (fleet sizes, procedure counts, cache hit counts,
-///   hot-swap session counts, lifecycle states) is deterministic and must
-///   match exactly.
-///
-/// Returns the list of mismatch descriptions (empty = pass).
-pub fn diff_bench_json(actual: &str, golden: &str) -> Result<Vec<String>, String> {
-    let actual = parse_flat_json(actual)?;
-    let golden = parse_flat_json(golden)?;
-    let mut errors = Vec::new();
-    let a_map: std::collections::BTreeMap<_, _> = actual.iter().cloned().collect();
-    let g_map: std::collections::BTreeMap<_, _> = golden.iter().cloned().collect();
-    for key in g_map.keys() {
-        if !a_map.contains_key(key) {
-            errors.push(format!("missing key `{key}`"));
-        }
-    }
-    for key in a_map.keys() {
-        if !g_map.contains_key(key) {
-            errors.push(format!("unexpected key `{key}`"));
-        }
-    }
-    for (key, a) in &a_map {
-        let Some(g) = g_map.get(key) else { continue };
-        if is_timing_key(key) {
-            let a_ok = a.parse::<f64>().map(|v| v > 0.0).unwrap_or(false);
-            let g_ok = g.parse::<f64>().map(|v| v > 0.0).unwrap_or(false);
-            if !a_ok || !g_ok {
-                errors.push(format!(
-                    "timing key `{key}` must be a positive number (actual `{a}`, golden `{g}`)"
-                ));
-            }
-        } else if a != g {
-            errors.push(format!("key `{key}`: actual `{a}` != golden `{g}`"));
-        }
-    }
-    Ok(errors)
+/// The section's benchmark report.
+pub fn verify_scale_json(r: &VerifyScaleReport) -> BenchReport {
+    let mut report = BenchReport::new("verify_scale", r.quick);
+    report.push("fleet.binaries", r.fleet_binaries);
+    report.push("fleet.procedures", r.fleet_procedures);
+    report.push("fleet.accepted", r.accepted);
+    report.push("serial.total_task_micros", r.serial_total_micros);
+    report.push("parallel.threads", r.parallel_threads);
+    report.push("parallel.makespan_micros", r.parallel_makespan_micros);
+    report.push("parallel.modeled_speedup", r.modeled_speedup);
+    report.push("cache.first_micros", r.cache_first_micros);
+    report.push("cache.second_micros", r.cache_second_micros);
+    report.push("cache.speedup", r.cache_speedup);
+    report.push("cache.hits", r.cache_hits);
+    report.push("cache.misses", r.cache_misses);
+    report.push("hot_swap.served_v1", r.swap.served_v1);
+    report.push("hot_swap.served_v2", r.swap.served_v2);
+    report.push("hot_swap.unverified_serves", r.swap.unverified_serves);
+    report.push("hot_swap.v1_state", r.swap.v1_state.as_str());
+    report.push("hot_swap.v2_state", r.swap.v2_state.as_str());
+    report.push("hot_swap.tampered_state", r.swap.tampered_state.as_str());
+    report.push("hot_swap.observables_stable", r.swap.observables_stable);
+    report.push("interference.quiet_p99_nanos", r.quiet_p99_nanos);
+    report.push("interference.swap_p99_nanos", r.swap_p99_nanos);
+    report
 }
 
 #[cfg(test)]
@@ -766,36 +625,10 @@ mod tests {
 
     #[test]
     fn json_round_trips_and_diffs_cleanly_against_itself() {
-        let r = verify_scale_report(true);
-        let json = verify_scale_json(&r);
-        let errors = diff_bench_json(&json, &json).unwrap();
+        let r = verify_scale_json(&verify_scale_report(true));
+        let parsed = BenchReport::parse(&r.render()).unwrap();
+        assert_eq!(parsed, r);
+        let errors = parsed.diff(&r);
         assert!(errors.is_empty(), "{errors:?}");
-    }
-
-    #[test]
-    fn diff_flags_deterministic_drift_but_not_timing_drift() {
-        let r = verify_scale_report(true);
-        let json = verify_scale_json(&r);
-        // Timing drift: fine.
-        let timing_drift = json.replace(
-            &format!("\"cache.first_micros\": {}", r.cache_first_micros),
-            "\"cache.first_micros\": 999999",
-        );
-        assert!(diff_bench_json(&timing_drift, &json).unwrap().is_empty());
-        // Deterministic drift: flagged.
-        let real_drift = json.replace(
-            "\"hot_swap.unverified_serves\": 0",
-            "\"hot_swap.unverified_serves\": 1",
-        );
-        let errors = diff_bench_json(&real_drift, &json).unwrap();
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("unverified_serves"));
-        // A zero timing value is also flagged (the measurement didn't run).
-        let zeroed = json.replace(
-            &format!("\"cache.speedup\": {:.3}", r.cache_speedup),
-            "\"cache.speedup\": 0.000",
-        );
-        let errors = diff_bench_json(&zeroed, &json).unwrap();
-        assert_eq!(errors.len(), 1, "{errors:?}");
     }
 }

@@ -24,7 +24,7 @@ pub use frame::{AllocaArea, FrameLayout, Slot};
 pub use isel::{CheckKind, CheckSite, CodegenError, CompiledFunction, MBlock, MagicPatch};
 pub use link::{compile_module, compile_module_with_entry, CodegenReport};
 pub use mpass::{MachineCtx, MachinePass, MachinePipeline, MACHINE_PASS_NAMES};
-pub use options::{CodegenOptions, MpxOptimizations, PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
+pub use options::{CodegenOptions, PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
 
 #[cfg(test)]
 mod tests {
@@ -121,7 +121,7 @@ mod tests {
     fn mpx_optimisations_reduce_check_count() {
         let full = CodegenOptions::mpx();
         let mut unopt = CodegenOptions::mpx();
-        unopt.passes = MpxOptimizations::none().pipeline();
+        unopt.passes = String::new();
         let (_, with_opts) = compile(PRIVATE_BUF, &full);
         let (_, without) = compile(PRIVATE_BUF, &unopt);
         assert!(

@@ -43,14 +43,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use confllvm_vm::{Outcome, VmOptions};
+use confllvm_vm::{Outcome, Vm, VmOptions};
 
 use crate::handles::{BinaryId, SessionId, VersionId};
 use crate::metrics::{RequestMetrics, StreamMetrics};
 use crate::pool::{PoolOptions, PooledInstance, SpawnError, VmPool};
-use crate::registry::Registry;
+use crate::registry::{Registry, ServiceBinary};
 use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig, WorkQueues};
-use crate::session::SessionSpec;
+use crate::session::{Request, SessionSpec};
 use crate::store::SnapshotStore;
 
 /// How requests are executed.
@@ -217,6 +217,20 @@ pub struct SessionOutcome {
     pub metrics: StreamMetrics,
 }
 
+impl SessionOutcome {
+    /// An outcome with nothing served yet.
+    fn empty(id: SessionId, version: VersionId) -> Self {
+        SessionOutcome {
+            id,
+            version,
+            exit_codes: Vec::new(),
+            sent: Vec::new(),
+            log: Vec::new(),
+            metrics: StreamMetrics::default(),
+        }
+    }
+}
+
 /// The result of serving a set of streams.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -367,13 +381,7 @@ impl Server {
     /// Fail fast on an unknown handle or an unpromoted binary; returns the
     /// service name.
     fn probe(&self, binary: BinaryId) -> Result<String, ServeError> {
-        let (_, probe) = self.registry.checkout_active(binary).ok_or_else(|| {
-            if self.registry.versions(binary).is_empty() {
-                ServeError::UnknownBinary { binary }
-            } else {
-                ServeError::NoActiveVersion { binary }
-            }
-        })?;
+        let (_, probe) = checkout(&self.registry, binary)?;
         let name = probe.name.clone();
         self.registry.release(probe.version_id);
         Ok(name)
@@ -496,13 +504,7 @@ impl Server {
         let rec = confllvm_obs::recorder();
         let started = Instant::now();
         let cache_hits_before = self.registry.cache_stats().hits;
-        let (version, service) = self.registry.checkout_active(binary).ok_or_else(|| {
-            if self.registry.versions(binary).is_empty() {
-                ServeError::UnknownBinary { binary }
-            } else {
-                ServeError::NoActiveVersion { binary }
-            }
-        })?;
+        let (version, service) = checkout(&self.registry, binary)?;
         let name = service.name.clone();
         let mut span = rec.span("server", "server.scale");
         let finish = |r: &Registry, store: &SnapshotStore| {
@@ -545,14 +547,7 @@ impl Server {
 
         let mut outcomes: Vec<SessionOutcome> = sessions
             .iter()
-            .map(|s| SessionOutcome {
-                id: s.id,
-                version,
-                exit_codes: Vec::new(),
-                sent: Vec::new(),
-                log: Vec::new(),
-                metrics: StreamMetrics::default(),
-            })
+            .map(|s| SessionOutcome::empty(s.id, version))
             .collect();
         let mut peak_pages = vec![0usize; sessions.len()];
         let mut first_error: Option<ServeError> = None;
@@ -585,33 +580,19 @@ impl Server {
             let inst = slot.as_mut().expect("materialised above");
             let cow_before = inst.vm.cow_faults();
             let (dirty, restore_cycles) = inst.reset(&pool_opts);
-            if let Some(input) = &req.input {
-                inst.vm.world.push_request(input);
-            }
-            let before = inst.vm.stats.clone();
-            let result = inst.vm.run_function(&req.entry, &req.args);
-            match result.outcome {
-                Outcome::Exit(code) => outcomes[si].exit_codes.push(code),
-                outcome => {
-                    first_error = Some(ServeError::Request {
-                        session: sessions[si].id,
-                        index: ri,
-                        outcome,
-                    });
+            let baselines = (inst.sent_baseline, inst.log_baseline);
+            let out = &mut outcomes[si];
+            let mut m = match execute_request(&mut inst.vm, baselines, req, ri, false, out) {
+                Ok(m) => m,
+                Err(e) => {
+                    first_error = Some(e);
                     return drain;
                 }
-            }
-            let mut m = RequestMetrics::from_stats_delta(&before, &inst.vm.stats);
+            };
             m.restore_cycles = restore_cycles;
             m.dirty_pages = dirty;
             m.cycles += restore_cycles;
-            outcomes[si].metrics.add(&m);
-            outcomes[si]
-                .sent
-                .extend_from_slice(&inst.vm.world.sent[inst.sent_baseline..]);
-            outcomes[si]
-                .log
-                .extend_from_slice(&inst.vm.world.log[inst.log_baseline..]);
+            out.metrics.add(&m);
             peak_pages[si] = peak_pages[si].max(inst.vm.resident_private_pages());
             ExecCost {
                 cycles: m.cycles,
@@ -781,9 +762,7 @@ fn run_one_session(
     let rec = confllvm_obs::recorder();
     let mut span = rec.span("server", "server.session");
     let queue_wait_nanos = span.active().then(|| queued_at.elapsed().as_nanos() as u64);
-    let (version, service) = registry
-        .checkout_active(binary)
-        .ok_or(ServeError::NoActiveVersion { binary })?;
+    let (version, service) = checkout(registry, binary)?;
     let pool = match pools.entry(version) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(slot) => {
@@ -821,14 +800,7 @@ fn run_session_pooled(
 ) -> Result<SessionOutcome, ServeError> {
     let pool_opts = pool.opts;
     let inst = pool.instance(session.id, &session.world)?;
-    let mut out = SessionOutcome {
-        id: session.id,
-        version,
-        exit_codes: Vec::with_capacity(session.requests.len()),
-        sent: Vec::new(),
-        log: Vec::new(),
-        metrics: StreamMetrics::default(),
-    };
+    let mut out = SessionOutcome::empty(session.id, version);
     for (index, req) in session.requests.iter().enumerate() {
         let rec = confllvm_obs::recorder();
         let mut req_span = rec.span("server", "server.request");
@@ -842,25 +814,8 @@ fn run_session_pooled(
             }
             (dirty, restore_cycles)
         };
-        if let Some(input) = &req.input {
-            inst.vm.world.push_request(input);
-        }
-        let before = inst.vm.stats.clone();
-        let result = {
-            let _exec_span = rec.span("server", "server.execute");
-            inst.vm.run_function(&req.entry, &req.args)
-        };
-        match result.outcome {
-            Outcome::Exit(code) => out.exit_codes.push(code),
-            outcome => {
-                return Err(ServeError::Request {
-                    session: session.id,
-                    index,
-                    outcome,
-                })
-            }
-        }
-        let mut m = RequestMetrics::from_stats_delta(&before, &inst.vm.stats);
+        let baselines = (inst.sent_baseline, inst.log_baseline);
+        let mut m = execute_request(&mut inst.vm, baselines, req, index, true, &mut out)?;
         m.restore_cycles = restore_cycles;
         m.dirty_pages = dirty;
         m.cycles += restore_cycles;
@@ -875,10 +830,6 @@ fn run_session_pooled(
         }
         drop(req_span);
         out.metrics.add(&m);
-        out.sent
-            .extend_from_slice(&inst.vm.world.sent[inst.sent_baseline..]);
-        out.log
-            .extend_from_slice(&inst.vm.world.log[inst.log_baseline..]);
     }
     Ok(out)
 }
@@ -888,14 +839,7 @@ fn run_session_cold(
     version: VersionId,
     session: &SessionSpec,
 ) -> Result<SessionOutcome, ServeError> {
-    let mut out = SessionOutcome {
-        id: session.id,
-        version,
-        exit_codes: Vec::with_capacity(session.requests.len()),
-        sent: Vec::new(),
-        log: Vec::new(),
-        metrics: StreamMetrics::default(),
-    };
+    let mut out = SessionOutcome::empty(session.id, version);
     for (index, req) in session.requests.iter().enumerate() {
         let rec = confllvm_obs::recorder();
         let mut req_span = rec.span("server", "server.request");
@@ -908,27 +852,8 @@ fn run_session_cold(
             }
             (vm, setup_cycles)
         };
-        let sent_baseline = vm.world.sent.len();
-        let log_baseline = vm.world.log.len();
-        if let Some(input) = &req.input {
-            vm.world.push_request(input);
-        }
-        let before = vm.stats.clone();
-        let result = {
-            let _exec_span = rec.span("server", "server.execute");
-            vm.run_function(&req.entry, &req.args)
-        };
-        match result.outcome {
-            Outcome::Exit(code) => out.exit_codes.push(code),
-            outcome => {
-                return Err(ServeError::Request {
-                    session: session.id,
-                    index,
-                    outcome,
-                })
-            }
-        }
-        let mut m = RequestMetrics::from_stats_delta(&before, &vm.stats);
+        let baselines = (vm.world.sent.len(), vm.world.log.len());
+        let mut m = execute_request(&mut vm, baselines, req, index, true, &mut out)?;
         m.setup_cycles = setup_cycles;
         m.cycles += setup_cycles;
         m.host_nanos = Some(host_t0.elapsed().as_nanos() as u64);
@@ -941,10 +866,62 @@ fn run_session_cold(
         }
         drop(req_span);
         out.metrics.add(&m);
-        out.sent.extend_from_slice(&vm.world.sent[sent_baseline..]);
-        out.log.extend_from_slice(&vm.world.log[log_baseline..]);
     }
     Ok(out)
+}
+
+/// Pin `binary`'s active version, telling an unknown handle apart from a
+/// known binary with no promoted version.
+fn checkout(
+    registry: &Registry,
+    binary: BinaryId,
+) -> Result<(VersionId, Arc<ServiceBinary>), ServeError> {
+    registry.checkout_active(binary).ok_or_else(|| {
+        if registry.versions(binary).is_empty() {
+            ServeError::UnknownBinary { binary }
+        } else {
+            ServeError::NoActiveVersion { binary }
+        }
+    })
+}
+
+/// Run one request on a session's VM and record its application results in
+/// `out`: push the request's input, run the entry (inside a
+/// `server.execute` span when `exec_span`), turn any outcome but `Exit`
+/// into [`ServeError::Request`], and append the exit code plus the bytes
+/// sent and logged past `baselines` (the `(sent, log)` lengths the request
+/// started from).  Returns the request's metrics; the caller adds its
+/// restore or setup cost and folds them into `out.metrics`.
+fn execute_request(
+    vm: &mut Vm,
+    baselines: (usize, usize),
+    req: &Request,
+    index: usize,
+    exec_span: bool,
+    out: &mut SessionOutcome,
+) -> Result<RequestMetrics, ServeError> {
+    if let Some(input) = &req.input {
+        vm.world.push_request(input);
+    }
+    let before = vm.stats.clone();
+    let result = {
+        let _span = exec_span.then(|| confllvm_obs::recorder().span("server", "server.execute"));
+        vm.run_function(&req.entry, &req.args)
+    };
+    match result.outcome {
+        Outcome::Exit(code) => out.exit_codes.push(code),
+        outcome => {
+            return Err(ServeError::Request {
+                session: out.id,
+                index,
+                outcome,
+            })
+        }
+    }
+    let (sent, log) = baselines;
+    out.sent.extend_from_slice(&vm.world.sent[sent..]);
+    out.log.extend_from_slice(&vm.world.log[log..]);
+    Ok(RequestMetrics::from_stats_delta(&before, &vm.stats))
 }
 
 #[cfg(test)]
