@@ -15,8 +15,9 @@
 //!    version, the drained old version retires, a tampered re-submission is
 //!    rejected without ever serving, and the observable traces stay
 //!    byte-identical across the swap.
-//! 4. **Load-vs-serve interference** — measured host p99 request latency
-//!    while concurrent verifications hammer the same machine, vs quiet.
+//! 4. **Load-vs-serve interference** — the same request streams served
+//!    quiet and while concurrent verifications hammer the same machine
+//!    must produce byte-identical observables.
 //!
 //! The section also emits `BENCH_verify_scale.json` whose deterministic
 //! keys are diffed against a golden copy in CI; see [`crate::report`] for
@@ -209,10 +210,6 @@ pub struct VerifyScaleReport {
     pub cache_misses: u64,
     /// The hot-swap harness results.
     pub swap: HotSwapReport,
-    /// Measured host p99 request latency with the machine quiet, ns.
-    pub quiet_p99_nanos: u64,
-    /// Measured host p99 with concurrent verification load, ns.
-    pub swap_p99_nanos: u64,
 }
 
 /// Serial-vs-parallel and cold-vs-warm-cache measurements over the fleet.
@@ -447,11 +444,11 @@ fn hot_swap_harness(report: &mut VerifyScaleReport) {
     assert_eq!(report.swap.tampered_state, "rejected");
 }
 
-/// Measured host p99 request latency, quiet vs under concurrent
-/// verification load.  Reported, not asserted — host timings on a shared
-/// box are noise-prone, which is exactly why every *assertion* in this
-/// section runs on deterministic counts and modeled schedules instead.
-fn interference_measurements(quick: bool, report: &mut VerifyScaleReport) {
+/// Serve the same request streams quiet and under concurrent verification
+/// load, and assert the load changes nothing observable.  No host latency
+/// is reported: a single quiet-vs-loaded p99 pair on a shared box is noise
+/// (the loaded p99 often came out *below* the quiet one).
+fn interference_check(quick: bool) {
     let registry = Arc::new(Registry::new(VerifyPolicy::RequireVerified));
     let opts = CompileOptions {
         config: Config::OurMpx,
@@ -471,7 +468,6 @@ fn interference_measurements(quick: bool, report: &mut VerifyScaleReport) {
     let sessions = swap_sessions(if quick { 3 } else { 6 });
 
     let quiet = server.serve(binary, &sessions, ExecMode::Pooled).unwrap();
-    report.quiet_p99_nanos = quiet.metrics.host_percentile(99);
 
     // Same streams again, now with verifier threads grinding the fleet.
     let load_binaries = fleet_binaries(true);
@@ -490,7 +486,6 @@ fn interference_measurements(quick: bool, report: &mut VerifyScaleReport) {
         stop.store(true, Ordering::Relaxed);
         loaded
     });
-    report.swap_p99_nanos = loaded.metrics.host_percentile(99);
     // Interference must not change behaviour, only timing.
     assert_eq!(quiet.observable(), loaded.observable());
 }
@@ -520,12 +515,10 @@ pub fn verify_scale_report(quick: bool) -> VerifyScaleReport {
             tampered_state: String::new(),
             observables_stable: false,
         },
-        quiet_p99_nanos: 0,
-        swap_p99_nanos: 0,
     };
     fleet_measurements(quick, &mut report);
     hot_swap_harness(&mut report);
-    interference_measurements(quick, &mut report);
+    interference_check(quick);
     report
 }
 
@@ -568,10 +561,7 @@ pub fn render_verify_scale(r: &VerifyScaleReport) -> String {
         "   observable trace byte-identical across the swap: {}\n",
         r.swap.observables_stable
     ));
-    out.push_str(&format!(
-        "   request host p99: {} ns quiet, {} ns under concurrent verification\n",
-        r.quiet_p99_nanos, r.swap_p99_nanos
-    ));
+    out.push_str("   observable trace byte-identical under concurrent verification: true\n");
     out
 }
 
@@ -597,8 +587,6 @@ pub fn verify_scale_json(r: &VerifyScaleReport) -> BenchReport {
     report.push("hot_swap.v2_state", r.swap.v2_state.as_str());
     report.push("hot_swap.tampered_state", r.swap.tampered_state.as_str());
     report.push("hot_swap.observables_stable", r.swap.observables_stable);
-    report.push("interference.quiet_p99_nanos", r.quiet_p99_nanos);
-    report.push("interference.swap_p99_nanos", r.swap_p99_nanos);
     report
 }
 
@@ -619,8 +607,6 @@ mod tests {
         // across fleet binaries (deterministic, so still exact-diffed).
         assert!(r.cache_hits >= r.fleet_binaries as u64, "{}", r.cache_hits);
         assert_eq!(r.swap.unverified_serves, 0);
-        assert!(r.quiet_p99_nanos > 0);
-        assert!(r.swap_p99_nanos > 0);
     }
 
     #[test]

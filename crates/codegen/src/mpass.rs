@@ -272,36 +272,47 @@ impl MachinePipeline {
 // ---------------------------------------------------------------------------
 
 /// Delete the given instruction indices, remapping labels, patches, check
-/// sites and block spans.
+/// sites and block spans in one pass over a prefix sum of the deletions.
 fn delete_insts(mf: &mut CompiledFunction, dead: &BTreeSet<usize>) {
     if dead.is_empty() {
         return;
     }
-    let removed_before = |idx: usize| dead.range(..idx).count();
-    mf.insts = mf
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dead.contains(i))
-        .map(|(_, inst)| inst.clone())
-        .collect();
+    let n = mf.insts.len();
+    let mut is_dead = vec![false; n];
+    for &i in dead {
+        is_dead[i] = true;
+    }
+    // `removed_before[i]` = dead indices below `i`; one entry past the end
+    // because labels may point just after the last instruction.
+    let mut removed_before = Vec::with_capacity(n + 1);
+    let mut removed = 0usize;
+    removed_before.push(0);
+    for &d in &is_dead {
+        removed += usize::from(d);
+        removed_before.push(removed);
+    }
+    let mut idx = 0;
+    mf.insts.retain(|_| {
+        idx += 1;
+        !is_dead[idx - 1]
+    });
     for l in &mut mf.labels {
         if *l != usize::MAX {
-            *l -= removed_before(*l);
+            *l -= removed_before[*l];
         }
     }
     for (idx, _) in &mut mf.patches {
-        debug_assert!(!dead.contains(idx), "patched instructions are never dead");
-        *idx -= removed_before(*idx);
+        debug_assert!(!is_dead[*idx], "patched instructions are never dead");
+        *idx -= removed_before[*idx];
     }
-    mf.check_sites.retain(|s| !dead.contains(&s.lower));
+    mf.check_sites.retain(|s| !is_dead[s.lower]);
     for s in &mut mf.check_sites {
-        s.lower -= removed_before(s.lower);
-        s.upper -= removed_before(s.upper);
+        s.lower -= removed_before[s.lower];
+        s.upper -= removed_before[s.upper];
     }
     for b in &mut mf.mblocks {
-        b.start -= removed_before(b.start);
-        b.term_start -= removed_before(b.term_start);
+        b.start -= removed_before[b.start];
+        b.term_start -= removed_before[b.term_start];
     }
 }
 

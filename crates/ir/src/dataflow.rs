@@ -6,8 +6,10 @@
 //! * [`MustSet`] — an intersection (must) lattice for forward analyses such
 //!   as the available-bounds-checks analysis behind the cross-block
 //!   redundant-check elimination in `confllvm-codegen`,
-//! * [`dominators`] and [`natural_loops`] — the loop structure needed by the
-//!   loop-invariant check-hoisting machine pass.
+//! * [`dominators`] — the dominator tree (near-linear construction, O(1)
+//!   dominance queries, children in `BlockId` order) walked by `cse`,
+//! * [`natural_loops`] — the loop structure needed by the loop-invariant
+//!   check-hoisting machine pass.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -43,8 +45,11 @@ pub fn solve_forward<T: ForwardTransfer>(
     }
     in_facts.insert(f.entry(), entry_fact);
     let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
+    // `queued[b]` mirrors "b is on the worklist" (blocks are dense ids).
+    let mut queued = vec![true; f.blocks.len()];
     let mut iterations = 0usize;
     while let Some(b) = worklist.pop() {
+        queued[b.0 as usize] = false;
         iterations += 1;
         if iterations > f.blocks.len() * 64 + 1024 {
             // Defensive bound; lattices used here all have finite height.
@@ -54,7 +59,8 @@ pub fn solve_forward<T: ForwardTransfer>(
         let out = transfer.transfer(f, b, &in_fact);
         for succ in f.block(b).term.successors() {
             let entry = in_facts.get_mut(&succ).expect("all blocks have facts");
-            if entry.join(&out) && !worklist.contains(&succ) {
+            if entry.join(&out) && !queued[succ.0 as usize] {
+                queued[succ.0 as usize] = true;
                 worklist.push(succ);
             }
         }
@@ -89,7 +95,9 @@ pub fn liveness(f: &Function) -> HashMap<BlockId, LiveSet> {
         .map(|b| (b.id, LiveSet::default()))
         .collect();
     let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
+    let mut queued = vec![true; f.blocks.len()];
     while let Some(bid) = worklist.pop() {
+        queued[bid.0 as usize] = false;
         let block = f.block(bid);
         // live-out = union of successors' live-in.
         let mut live: HashSet<ValueId> = HashSet::new();
@@ -118,7 +126,8 @@ pub fn liveness(f: &Function) -> HashMap<BlockId, LiveSet> {
         entry.0.extend(live.iter().copied());
         if entry.0.len() != before {
             for p in preds.get(&bid).into_iter().flatten() {
-                if !worklist.contains(p) {
+                if !queued[p.0 as usize] {
+                    queued[p.0 as usize] = true;
                     worklist.push(*p);
                 }
             }
@@ -205,80 +214,150 @@ impl<K: Eq + Hash + Clone> Lattice for MustSet<K> {
     }
 }
 
-/// Dominator sets for every reachable block of a function, computed with the
-/// classic iterative data-flow algorithm (the CFGs here are small).
+/// The dominator tree of a function's reachable blocks, built with the
+/// Cooper–Harvey–Kennedy algorithm ("A Simple, Fast Dominance Algorithm",
+/// 2001): immediate dominators are iterated to a fixpoint over reverse
+/// postorder, then the tree is numbered once with DFS pre/post numbers so
+/// [`Dominators::dominates`] is O(1).  All tables are dense `Vec`s indexed by
+/// `BlockId` (`f.block(id) == f.blocks[id.0]`).
 #[derive(Debug, Clone)]
 pub struct Dominators {
-    doms: HashMap<BlockId, HashSet<BlockId>>,
-    reachable: HashSet<BlockId>,
+    /// Dominator-tree children of each block, in ascending `BlockId` order.
+    children: Vec<Vec<BlockId>>,
+    /// `(pre, post)` DFS numbers in the dominator tree; `None` for blocks
+    /// unreachable from the entry.
+    order: Vec<Option<(u32, u32)>>,
 }
 
 impl Dominators {
     /// Does `a` dominate `b`?  Unreachable blocks dominate nothing and are
     /// dominated by nothing (callers should filter them out first).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.reachable.contains(&a) && self.doms.get(&b).map(|d| d.contains(&a)).unwrap_or(false)
+        match (self.number(a), self.number(b)) {
+            (Some((pre_a, post_a)), Some((pre_b, post_b))) => pre_a <= pre_b && post_b <= post_a,
+            _ => false,
+        }
     }
 
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.reachable.contains(&b)
+        self.number(b).is_some()
+    }
+
+    /// The blocks `b` immediately dominates, in ascending `BlockId` order
+    /// (empty for unreachable blocks).
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        self.children.get(b.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    fn number(&self, b: BlockId) -> Option<(u32, u32)> {
+        self.order.get(b.0 as usize).copied().flatten()
     }
 }
 
-/// Compute the dominator sets of a function's CFG.
+/// Compute the dominator tree of a function's CFG.
 pub fn dominators(f: &Function) -> Dominators {
-    let entry = f.entry();
-    let mut reachable: HashSet<BlockId> = HashSet::new();
-    let mut stack = vec![entry];
-    while let Some(b) = stack.pop() {
-        if reachable.insert(b) {
-            stack.extend(f.block(b).term.successors());
+    const NONE: usize = usize::MAX;
+    let n = f.blocks.len();
+    let entry = f.entry().0 as usize;
+    let succs: Vec<Vec<BlockId>> = f.blocks.iter().map(|b| b.term.successors()).collect();
+
+    // Postorder of the reachable blocks (iterative DFS from the entry).
+    let mut po_num = vec![NONE; n];
+    let mut postorder: Vec<usize> = Vec::with_capacity(n);
+    let mut visited = vec![false; n];
+    let mut stack: Vec<(usize, usize)> = vec![(entry, 0)];
+    visited[entry] = true;
+    while let Some((b, next)) = stack.last_mut() {
+        let (b, succ) = (*b, succs[*b].get(*next).map(|s| s.0 as usize));
+        *next += 1;
+        match succ {
+            Some(s) if !visited[s] => {
+                visited[s] = true;
+                stack.push((s, 0));
+            }
+            Some(_) => {}
+            None => {
+                po_num[b] = postorder.len();
+                postorder.push(b);
+                stack.pop();
+            }
         }
     }
-    let all: HashSet<BlockId> = reachable.iter().copied().collect();
-    let preds = f.predecessors();
-    let mut doms: HashMap<BlockId, HashSet<BlockId>> = reachable
-        .iter()
-        .map(|&b| {
-            if b == entry {
-                (b, std::iter::once(b).collect())
-            } else {
-                (b, all.clone())
+
+    // Reachable predecessors of every reachable block.
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &b in &postorder {
+        for s in &succs[b] {
+            preds[s.0 as usize].push(b);
+        }
+    }
+
+    // Immediate dominators, iterated over reverse postorder.
+    let mut idom = vec![NONE; n];
+    idom[entry] = entry;
+    let intersect = |idom: &[usize], mut a: usize, mut b: usize| {
+        while a != b {
+            while po_num[a] < po_num[b] {
+                a = idom[a];
             }
-        })
-        .collect();
-    let order: Vec<BlockId> = {
-        let mut v: Vec<BlockId> = reachable.iter().copied().collect();
-        v.sort();
-        v
+            while po_num[b] < po_num[a] {
+                b = idom[b];
+            }
+        }
+        a
     };
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &order {
-            if b == entry {
-                continue;
-            }
-            let mut new: Option<HashSet<BlockId>> = None;
-            for p in preds.get(&b).into_iter().flatten() {
-                if !reachable.contains(p) {
-                    continue;
+        for &b in postorder.iter().rev().filter(|&&b| b != entry) {
+            let mut new_idom = NONE;
+            for &p in &preds[b] {
+                if idom[p] != NONE {
+                    new_idom = if new_idom == NONE {
+                        p
+                    } else {
+                        intersect(&idom, p, new_idom)
+                    };
                 }
-                let pd = &doms[p];
-                new = Some(match new {
-                    None => pd.clone(),
-                    Some(acc) => acc.intersection(pd).copied().collect(),
-                });
             }
-            let mut new = new.unwrap_or_default();
-            new.insert(b);
-            if new != doms[&b] {
-                doms.insert(b, new);
+            if idom[b] != new_idom {
+                idom[b] = new_idom;
                 changed = true;
             }
         }
     }
-    Dominators { doms, reachable }
+
+    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    for (b, &d) in idom.iter().enumerate() {
+        if d != NONE && b != entry {
+            children[d].push(BlockId(b as u32));
+        }
+    }
+
+    // Pre/post numbering of the dominator tree.
+    let mut order: Vec<Option<(u32, u32)>> = vec![None; n];
+    let (mut pre, mut post) = (0u32, 0u32);
+    let mut stack: Vec<(usize, usize)> = vec![(entry, 0)];
+    order[entry] = Some((pre, 0));
+    while let Some((b, next)) = stack.last_mut() {
+        let b = *b;
+        match children[b].get(*next) {
+            Some(c) => {
+                *next += 1;
+                pre += 1;
+                order[c.0 as usize] = Some((pre, 0));
+                stack.push((c.0 as usize, 0));
+            }
+            None => {
+                if let Some((_, p)) = &mut order[b] {
+                    *p = post;
+                }
+                post += 1;
+                stack.pop();
+            }
+        }
+    }
+    Dominators { children, order }
 }
 
 /// A natural loop: a header, the blocks that jump back to it (latches), and

@@ -23,7 +23,7 @@
 //! [`PassOptions`] and [`run`] remain as a thin flag-based façade over the
 //! pass manager for callers that predate the textual pipelines.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::dataflow::dominators;
 use crate::inst::{Inst, Operand, Terminator, ValueId};
@@ -319,18 +319,18 @@ fn copy_propagate(f: &mut Function) -> usize {
 
 /// Remove side-effect-free instructions whose result is never used.
 fn dead_code_elim(f: &mut Function) -> usize {
-    let mut used: HashMap<ValueId, bool> = HashMap::new();
+    let mut used = vec![false; f.values.len()];
     for b in &f.blocks {
         for inst in &b.insts {
             for op in inst.uses() {
                 if let Operand::Value(v) = op {
-                    used.insert(v, true);
+                    used[v.0 as usize] = true;
                 }
             }
         }
         for op in b.term.uses() {
             if let Operand::Value(v) = op {
-                used.insert(v, true);
+                used[v.0 as usize] = true;
             }
         }
     }
@@ -345,7 +345,7 @@ fn dead_code_elim(f: &mut Function) -> usize {
             // arithmetic that the simple use-scan above misses only if the
             // alloca value itself is unused, in which case removal is safe.
             match inst.def() {
-                Some(dst) => used.get(&dst).copied().unwrap_or(false),
+                Some(dst) => used[dst.0 as usize],
                 None => true,
             }
         });
@@ -402,19 +402,20 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
     // --- immutable prepass -------------------------------------------------
     // Symbolic address base of every value (resolved through `+ const` and
     // copies to a fixpoint), and the set of pinned values that must never
-    // participate in unification.
-    let mut value_bases: HashMap<ValueId, AddrBase> = HashMap::new();
+    // participate in unification.  Tables keyed by value are dense `Vec`s
+    // indexed by `ValueId`.
+    let mut value_bases: Vec<Option<AddrBase>> = vec![None; f.values.len()];
     let mut global_ids: HashMap<String, u32> = HashMap::new();
     for b in &f.blocks {
         for inst in &b.insts {
             match inst {
                 Inst::Alloca { dst, .. } => {
-                    value_bases.insert(*dst, AddrBase::Alloca(*dst));
+                    value_bases[dst.0 as usize] = Some(AddrBase::Alloca(*dst));
                 }
                 Inst::GlobalAddr { dst, name } => {
                     let next = global_ids.len() as u32;
                     let id = *global_ids.entry(name.clone()).or_insert(next);
-                    value_bases.insert(*dst, AddrBase::Global(id));
+                    value_bases[dst.0 as usize] = Some(AddrBase::Global(id));
                 }
                 _ => {}
             }
@@ -437,9 +438,9 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
                     } => (*dst, *src),
                     _ => continue,
                 };
-                if !value_bases.contains_key(&dst) {
-                    if let Some(k) = value_bases.get(&src).copied() {
-                        value_bases.insert(dst, k);
+                if value_bases[dst.0 as usize].is_none() {
+                    if let Some(k) = value_bases[src.0 as usize] {
+                        value_bases[dst.0 as usize] = Some(k);
                         grew = true;
                     }
                 }
@@ -451,52 +452,28 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
     }
     let operand_base = |op: Operand| -> AddrBase {
         match op {
-            Operand::Value(v) => value_bases.get(&v).copied().unwrap_or(AddrBase::Unknown),
+            Operand::Value(v) => value_bases[v.0 as usize].unwrap_or(AddrBase::Unknown),
             Operand::Const(_) => AddrBase::Unknown,
         }
     };
-    let pinned: HashSet<ValueId> = f
+    let pinned: Vec<bool> = f
         .values
         .iter()
-        .enumerate()
-        .filter(|(_, info)| info.declared_taint.is_some() || info.declared_pointee.is_some())
-        .map(|(i, _)| ValueId(i as u32))
+        .map(|info| info.declared_taint.is_some() || info.declared_pointee.is_some())
         .collect();
     let pin_ok = |op: Operand, dst: ValueId| -> bool {
-        if pinned.contains(&dst) {
+        if pinned[dst.0 as usize] {
             return false;
         }
         match op {
-            Operand::Value(v) => !pinned.contains(&v),
+            Operand::Value(v) => !pinned[v.0 as usize],
             Operand::Const(_) => true,
         }
     };
 
     // Global replacement map: in a dominator-tree preorder walk a
     // replacement's definition is always visited before any of its uses.
-    let mut replace: HashMap<ValueId, Operand> = HashMap::new();
-
-    // Children in the dominator tree: "p dominates c with no strictly-between
-    // dominator" — quadratic, adequate for these small CFGs.
-    let block_ids: Vec<crate::inst::BlockId> = f
-        .blocks
-        .iter()
-        .map(|b| b.id)
-        .filter(|b| doms.is_reachable(*b))
-        .collect();
-    let idom_children = |p: crate::inst::BlockId| -> Vec<crate::inst::BlockId> {
-        block_ids
-            .iter()
-            .copied()
-            .filter(|&c| {
-                c != p
-                    && doms.dominates(p, c)
-                    && !block_ids
-                        .iter()
-                        .any(|&m| m != p && m != c && doms.dominates(p, m) && doms.dominates(m, c))
-            })
-            .collect()
-    };
+    let mut replace: Vec<Option<Operand>> = vec![None; f.values.len()];
 
     let mut changed = 0usize;
     // Explicit DFS over the dominator tree with scoped pure-expression
@@ -516,20 +493,16 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
         pure_scope.push(HashMap::new());
 
         let mut loads: LoadTable = inherited_loads.unwrap_or_default();
-        let bi = f
-            .blocks
-            .iter()
-            .position(|b| b.id == bid)
-            .expect("block exists");
+        let bi = bid.0 as usize;
         for ii in 0..f.blocks[bi].insts.len() {
             // Canonicalise operands through the replacement map.
             {
                 let resolve = |op: &mut Operand| {
                     let mut hops = 0;
                     while let Operand::Value(v) = *op {
-                        match replace.get(&v) {
+                        match replace[v.0 as usize] {
                             Some(next) if hops < 32 => {
-                                *op = *next;
+                                *op = next;
                                 hops += 1;
                             }
                             _ => break,
@@ -575,7 +548,7 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
                             dst,
                             src: Operand::Value(prev),
                         };
-                        replace.insert(dst, Operand::Value(prev));
+                        replace[dst.0 as usize] = Some(Operand::Value(prev));
                         changed += 1;
                     }
                     Some(_) => {}
@@ -600,7 +573,7 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
                                 dst,
                                 src: Operand::Value(prev),
                             };
-                            replace.insert(dst, Operand::Value(prev));
+                            replace[dst.0 as usize] = Some(Operand::Value(prev));
                             changed += 1;
                         }
                         Some(_) => {}
@@ -619,7 +592,9 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
                 _ => {}
             }
         }
-        for c in idom_children(bid) {
+        // Children go on the stack in ascending order, so they are visited
+        // highest id first.
+        for &c in doms.children(bid) {
             let sole_pred = preds
                 .get(&c)
                 .map(|p| p.len() == 1 && p[0] == bid)

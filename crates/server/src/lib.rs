@@ -41,8 +41,7 @@
 //!   request mixes (file-serving, directory hit/miss).
 //! * [`metrics`] — per-request and per-stream aggregation: throughput,
 //!   latency percentiles, executed checks, the split between application
-//!   cycles and U↔T crossing cycles, and measured host time for the
-//!   load-vs-serve interference figures.
+//!   cycles and U↔T crossing cycles, and measured host time per request.
 //! * [`runtime`] — the [`Server`]: registry + snapshot store + work-stealing
 //!   worker threads driving many concurrent sessions, in either
 //!   [`ExecMode::Cold`] (fresh VM + setup per request) or

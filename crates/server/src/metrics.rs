@@ -34,9 +34,9 @@ pub struct RequestMetrics {
     pub extern_cycles: u64,
     /// Host-side wall time of the request, nanoseconds, or `None` when the
     /// caller did not measure it (the virtual-time scale loop).  Unlike
-    /// every cycle figure this is *measured*, not simulated — it is what
-    /// the load-vs-serve interference numbers quote (how much a concurrent
-    /// verification slows real request handling down).
+    /// every cycle figure this is *measured*, not simulated, so it is only
+    /// ever reported (the `server.request.host_nanos` histogram), never
+    /// asserted or golden-diffed.
     pub host_nanos: Option<u64>,
 }
 
@@ -176,8 +176,7 @@ impl StreamMetrics {
         confllvm_obs::exact_percentile(&self.latencies, pct)
     }
 
-    /// The `pct`-th *measured host* latency percentile in nanoseconds —
-    /// what the load-vs-serve interference comparison quotes.
+    /// The `pct`-th *measured host* latency percentile in nanoseconds.
     pub fn host_percentile(&self, pct: u32) -> u64 {
         confllvm_obs::exact_percentile(&self.host_latencies, pct)
     }
