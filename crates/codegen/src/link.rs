@@ -6,9 +6,7 @@ use std::collections::HashMap;
 
 use confllvm_ir::Module;
 use confllvm_machine::program::{ExternSpec, FuncSym, GlobalSpec};
-use confllvm_machine::{
-    encoded_len, find_unique_prefixes, MInst, MagicPrefixes, Program, Scheme, Taint,
-};
+use confllvm_machine::{encoded_len, find_unique_prefixes, MInst, Program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -166,7 +164,7 @@ pub fn compile_module_with_entry(
         let candidate_words: Vec<u64> = {
             let mut ws = Vec::with_capacity(total_words as usize);
             for inst in &resolved {
-                ws.extend(confllvm_machine::encode_inst(inst));
+                ws.extend_from_slice(&confllvm_machine::encode_inst(inst));
             }
             ws
         };
@@ -211,7 +209,7 @@ pub fn compile_module_with_entry(
         let mut ok = true;
         let mut word_idx = 0u32;
         for inst in &patched {
-            for wv in confllvm_machine::encode_inst(inst) {
+            for &wv in confllvm_machine::encode_inst(inst).iter() {
                 let is_magic_pos = magic_positions.contains(&word_idx);
                 if !is_magic_pos && (prefixes.is_call_word(wv) || prefixes.is_ret_word(wv)) {
                     ok = false;
@@ -296,20 +294,4 @@ pub fn compile_module_with_entry(
         split_stacks: opts.split_stacks,
     };
     Ok((program, report))
-}
-
-/// Ensure the public taint type is re-exported for downstream users building
-/// expectations about magic words.
-pub fn ret_taint_of(program: &Program, function: &str) -> Option<Taint> {
-    program.function(function).map(|f| f.ret_taint)
-}
-
-/// Convenience: resolve prefixes for tests.
-pub fn prefixes_of(program: &Program) -> MagicPrefixes {
-    program.prefixes
-}
-
-/// Scheme helper for tests/reports.
-pub fn scheme_of(program: &Program) -> Scheme {
-    program.scheme
 }

@@ -7,6 +7,13 @@
 //! (Section 6).  The decoder tells magic words apart from opcode words using
 //! the magic prefixes from the binary header, which is valid precisely
 //! because of that uniqueness invariant.
+//!
+//! Decoding is strict: every instruction must be in canonical form, i.e.
+//! re-encoding the decoded instruction must give back exactly the input
+//! words.  A word with bits outside its opcode's fields, a field the opcode
+//! does not use, a displacement or branch target with stray bits past its
+//! width, or an unassigned segment value is rejected, so the bytes
+//! ConfVerify accepts are exactly one program.
 
 use crate::inst::{AluOp, BndReg, Cond, MInst, RegImm};
 use crate::magic::MagicPrefixes;
@@ -180,10 +187,29 @@ fn reg(f: u8) -> Reg {
     Reg::from_index(f as usize).unwrap_or(Reg::Rax)
 }
 
+/// One encoded instruction: one or two words held inline, so encoding
+/// allocates nothing.  Dereferences to the words in use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Encoded {
+    words: [u64; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for Encoded {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.words[..self.len]
+    }
+}
+
 /// Encode one instruction to one or two words.
-pub fn encode_inst(inst: &MInst) -> Vec<u64> {
+pub fn encode_inst(inst: &MInst) -> Encoded {
     if let MInst::MagicWord { value } = inst {
-        return vec![*value];
+        return Encoded {
+            words: [*value, 0],
+            len: 1,
+        };
     }
     let mut f = Fields::default();
     let mut imm: u64 = 0;
@@ -310,11 +336,15 @@ pub fn encode_inst(inst: &MInst) -> Vec<u64> {
         }
         MInst::Nop => f.opcode = OP_NOP,
     }
-    vec![f.pack(), imm]
+    Encoded {
+        words: [f.pack(), imm],
+        len: 2,
+    }
 }
 
 /// Decode one instruction starting at `words[0]`; returns the instruction and
-/// the number of words consumed.
+/// the number of words consumed.  Non-canonical encodings are rejected (see
+/// the module docs).
 pub fn decode_inst(
     words: &[u64],
     word_index: u32,
@@ -415,6 +445,11 @@ pub fn decode_inst(
         OP_NOP => MInst::Nop,
         other => return Err(err(format!("unknown opcode {other}"))),
     };
+    if *encode_inst(&inst) != words[..2] {
+        return Err(err(format!(
+            "non-canonical encoding {w0:#018x} {imm:#018x} of {inst:?}"
+        )));
+    }
     Ok((inst, 2))
 }
 
@@ -438,15 +473,13 @@ pub fn decode_words(
 pub fn encode_program(p: &Program) -> Binary {
     let mut words = Vec::with_capacity(p.insts.len() * 2);
     for inst in &p.insts {
-        words.extend(encode_inst(inst));
+        words.extend_from_slice(&encode_inst(inst));
     }
-    let offsets = p.word_offsets();
     let entry_word = p
         .functions
         .get(p.entry_function)
         .map(|f| f.entry_word)
         .unwrap_or(0);
-    let _ = offsets;
     Binary {
         words,
         header: BinaryHeader {
@@ -564,7 +597,7 @@ mod tests {
         ];
         let mut words = Vec::new();
         for i in &insts {
-            words.extend(encode_inst(i));
+            words.extend_from_slice(&encode_inst(i));
         }
         let decoded = decode_words(&words, &prefixes).unwrap();
         assert_eq!(decoded.len(), 3);
@@ -583,6 +616,33 @@ mod tests {
         });
         let truncated = &words[..1];
         assert!(decode_words(truncated, &prefixes).is_err());
+    }
+
+    #[test]
+    fn non_canonical_encodings_are_rejected() {
+        let prefixes = MagicPrefixes::test_defaults();
+        let load = encode_inst(&MInst::Load {
+            dst: Reg::Rax,
+            mem: MemOperand::base_disp(Reg::Rcx, -8),
+            size: 8,
+        });
+        let jmp = encode_inst(&MInst::Jmp { target: 40 });
+        let nop = encode_inst(&MInst::Nop);
+        let rejected = |w0: u64, w1: u64| decode_inst(&[w0, w1], 0, &prefixes).is_err();
+        assert!(!rejected(load[0], load[1]), "the canonical form decodes");
+        // A bit outside every field.
+        assert!(rejected(load[0] | 1 << 31, load[1]));
+        assert!(rejected(load[0] | 1 << 63, load[1]));
+        // A field the opcode does not use: a condition on a load, a
+        // register on a nop, an index scale without an index.
+        assert!(rejected(load[0] | 3 << 32, load[1]));
+        assert!(rejected(nop[0] | 5 << 8, nop[1]));
+        assert!(rejected(load[0] | 2 << 20, load[1]));
+        // Immediate bits past the displacement's or the target's width.
+        assert!(rejected(load[0], load[1] ^ 1 << 40));
+        assert!(rejected(jmp[0], jmp[1] | 1 << 32));
+        // Segment value 3 is unassigned.
+        assert!(rejected(load[0] | 3 << 25, load[1]));
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl Binary {
     pub fn decode(&self) -> Result<Vec<(u32, MInst)>, encode::DecodeError> {
         encode::decode_words(&self.words, &self.header.prefixes)
     }
-
-    /// Code size in bytes (8 bytes per word), used in code-size reports.
-    pub fn code_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
 }
 
 #[cfg(test)]

@@ -28,10 +28,9 @@
 //!   Between requests an instance is rewound to its snapshot in O(dirty
 //!   pages) instead of paying compile + load + setup; parked, it keeps only
 //!   its CoW-faulted pages resident.
-//! * [`sched`] — the event-driven scheduler: per-worker run queues with
-//!   work stealing for the real threads, and a deterministic virtual-time
-//!   run loop (bounded admission windows, shed/defer backpressure, EDF
-//!   dispatch) for the 10^4–10^5-session scale experiments.
+//! * [`sched`] — the deterministic virtual-time scheduler (bounded
+//!   admission windows, shed/defer backpressure, EDF dispatch) every
+//!   request is dispatched through.
 //! * [`session`] — requests and per-session state.  Every session carries its
 //!   own [`World`](confllvm_vm::World) (its private passwords / secret
 //!   files), so confidentiality can be tested end-to-end: identical request
@@ -40,15 +39,15 @@
 //! * [`reqgen`] — a deterministic request generator for the evaluation's
 //!   request mixes (file-serving, directory hit/miss).
 //! * [`metrics`] — per-request and per-stream aggregation: throughput,
-//!   latency percentiles, executed checks, the split between application
-//!   cycles and U↔T crossing cycles, and measured host time per request.
-//! * [`runtime`] — the [`Server`]: registry + snapshot store + work-stealing
-//!   worker threads driving many concurrent sessions, in either
-//!   [`ExecMode::Cold`] (fresh VM + setup per request) or
-//!   [`ExecMode::Pooled`] (fork + snapshot/reset) mode, plus
-//!   [`Server::serve_scaled`] for backpressured virtual-time runs.
-//!   Sessions pin the version they start on, so a promotion mid-run never
-//!   swaps a binary under a live session.
+//!   latency percentiles, executed checks, and the split between
+//!   application cycles and U↔T crossing cycles.
+//! * [`runtime`] — the [`Server`]: registry + snapshot store + one serving
+//!   loop.  [`Server::serve`] runs closed-loop streams of many sessions,
+//!   split statically over host threads, in either [`ExecMode::Cold`]
+//!   (fresh VM + setup per request) or [`ExecMode::Pooled`] (fork +
+//!   snapshot/reset) mode; [`Server::serve_scaled`] runs backpressured
+//!   virtual-time arrival plans.  Each call pins the active version once,
+//!   so a promotion mid-call never swaps a binary under a live session.
 //!
 //! The `server_throughput` and `verify_scale` sections of the `repro`
 //! driver are built on this crate.
@@ -65,7 +64,7 @@ pub mod store;
 
 pub use handles::{BinaryId, SessionId, VersionId};
 pub use metrics::{RequestMetrics, StreamMetrics};
-pub use pool::{PoolOptions, PooledInstance, VmPool};
+pub use pool::{PoolOptions, PooledInstance};
 pub use registry::{
     PromoteError, RegisterError, Registry, ServiceBinary, SetupSpec, VerifyPolicy, VersionInfo,
     VersionState,
@@ -77,7 +76,6 @@ pub use runtime::{
 };
 pub use sched::{
     Arrival, ArrivalPlan, Backpressure, Completion, ExecCost, SchedResult, SchedulerConfig,
-    WorkQueues,
 };
 pub use session::{Request, SessionSpec, SessionSpecBuilder};
 pub use store::{SessionTemplate, SnapshotStore};

@@ -32,12 +32,6 @@ pub struct RequestMetrics {
     pub stack_switches: u64,
     /// Cycles spent crossing the U/T boundary.
     pub extern_cycles: u64,
-    /// Host-side wall time of the request, nanoseconds, or `None` when the
-    /// caller did not measure it (the virtual-time scale loop).  Unlike
-    /// every cycle figure this is *measured*, not simulated, so it is only
-    /// ever reported (the `server.request.host_nanos` histogram), never
-    /// asserted or golden-diffed.
-    pub host_nanos: Option<u64>,
 }
 
 impl RequestMetrics {
@@ -55,7 +49,6 @@ impl RequestMetrics {
             extern_calls: after.extern_calls - before.extern_calls,
             stack_switches: after.stack_switches - before.stack_switches,
             extern_cycles: after.extern_cycles - before.extern_cycles,
-            host_nanos: None,
         }
     }
 
@@ -84,17 +77,12 @@ pub struct StreamMetrics {
     pub extern_calls: u64,
     pub stack_switches: u64,
     pub extern_cycles: u64,
-    /// Total measured host time over the stream, nanoseconds.
-    pub host_nanos: u64,
     /// Arrivals dropped by the scheduler's shed backpressure (scale runs).
     pub shed: u64,
     /// Deferral events under the defer backpressure policy (scale runs).
     pub deferred: u64,
     /// Per-request total cycles, kept for the latency percentiles.
     latencies: Vec<u64>,
-    /// Per-request measured host times, kept for the host percentiles
-    /// (requests without a measurement contribute no sample).
-    host_latencies: Vec<u64>,
     /// Scheduler queue depths, one sample per admission window (scale runs).
     queue_depth_samples: Vec<u64>,
     /// Virtual end-to-end latencies (arrival → completion, so queue wait
@@ -110,9 +98,6 @@ impl StreamMetrics {
         let rec = confllvm_obs::recorder();
         if rec.enabled() {
             rec.record_hist("server.request.cycles", r.cycles);
-            if let Some(nanos) = r.host_nanos {
-                rec.record_hist("server.request.host_nanos", nanos);
-            }
             rec.record_hist("server.request.dirty_pages", r.dirty_pages);
         }
         self.requests += 1;
@@ -127,10 +112,6 @@ impl StreamMetrics {
         self.stack_switches += r.stack_switches;
         self.extern_cycles += r.extern_cycles;
         self.latencies.push(r.cycles);
-        if let Some(nanos) = r.host_nanos {
-            self.host_nanos += nanos;
-            self.host_latencies.push(nanos);
-        }
     }
 
     /// Fold another stream's totals into this one.
@@ -146,11 +127,9 @@ impl StreamMetrics {
         self.extern_calls += other.extern_calls;
         self.stack_switches += other.stack_switches;
         self.extern_cycles += other.extern_cycles;
-        self.host_nanos += other.host_nanos;
         self.shed += other.shed;
         self.deferred += other.deferred;
         self.latencies.extend_from_slice(&other.latencies);
-        self.host_latencies.extend_from_slice(&other.host_latencies);
         self.queue_depth_samples
             .extend_from_slice(&other.queue_depth_samples);
         self.vlatencies.extend_from_slice(&other.vlatencies);
@@ -176,11 +155,6 @@ impl StreamMetrics {
         confllvm_obs::exact_percentile(&self.latencies, pct)
     }
 
-    /// The `pct`-th *measured host* latency percentile in nanoseconds.
-    pub fn host_percentile(&self, pct: u32) -> u64 {
-        confllvm_obs::exact_percentile(&self.host_latencies, pct)
-    }
-
     /// Latency percentile at per-mille resolution (999 = p99.9) over the
     /// per-request service cycles.
     pub fn percentile_milli(&self, per_mille: u32) -> u64 {
@@ -195,8 +169,12 @@ impl StreamMetrics {
         confllvm_obs::exact_percentile_milli(&self.vlatencies, per_mille)
     }
 
-    /// Record one scheduler queue-depth sample.
+    /// Record one scheduler queue-depth sample, also fed to the shared
+    /// `server.queue_depth` histogram.  Only a scale run's windows are
+    /// sampled: `serve`'s closed loop queues its whole stream at once, a
+    /// depth that says nothing about backpressure.
     pub fn record_queue_depth(&mut self, depth: u64) {
+        confllvm_obs::recorder().record_hist("server.queue_depth", depth);
         self.queue_depth_samples.push(depth);
     }
 
@@ -277,23 +255,6 @@ mod tests {
         assert_eq!(a.requests, 2);
         assert_eq!(a.mean_cycles(), 200);
         assert_eq!(a.percentile(99), 300);
-    }
-
-    #[test]
-    fn host_time_is_tracked_separately_from_cycles() {
-        let mut s = StreamMetrics::default();
-        for (cycles, nanos) in [(100, 5_000), (100, 9_000), (100, 1_000)] {
-            let mut r = req(cycles);
-            r.host_nanos = Some(nanos);
-            s.add(&r);
-        }
-        // A request without a host measurement adds no placeholder sample.
-        s.add(&req(100));
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.host_nanos, 15_000);
-        assert_eq!(s.host_percentile(50), 5_000);
-        assert_eq!(s.host_percentile(99), 9_000);
-        assert_eq!(s.percentile(99), 100, "cycle percentiles unaffected");
     }
 
     #[test]

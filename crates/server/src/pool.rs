@@ -1,7 +1,7 @@
-//! The warm VM instance pool.
+//! Warm per-session VM instances.
 //!
 //! A pooled instance is a copy-on-write fork of its version's
-//! [`SessionTemplate`]: the binary was loaded
+//! [`SessionTemplate`](crate::store::SessionTemplate): the binary was loaded
 //! once per version, its setup ran once (or per fork when it reads session
 //! state — see the store's module docs), and the resulting snapshot is
 //! shared.  Serving a request then costs: rewind to the snapshot in O(dirty
@@ -9,15 +9,13 @@
 //! setup are all skipped, and a parked instance's resident footprint is just
 //! its CoW-faulted pages plus registers/heaps/`World`.  Instances are
 //! per-session, so one client's private state never bleeds into another's
-//! VM.
+//! VM.  The serving loop keeps each session's instance itself, spawned
+//! through [`SessionTemplate::session_instance`](crate::store::SessionTemplate)
+//! on the session's first request.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use confllvm_vm::{Outcome, Vm, VmSnapshot, World};
-
-use crate::handles::SessionId;
-use crate::store::SessionTemplate;
 
 /// Cost accounting for the snapshot-restore, in simulated cycles.  Rewinding
 /// is not free on real hardware (madvise/memcpy of the dirtied pages), so the
@@ -130,75 +128,11 @@ impl PooledInstance {
     }
 }
 
-/// A pool of per-session warm instances forked from one version's template.
-#[derive(Debug)]
-pub struct VmPool {
-    template: Arc<SessionTemplate>,
-    /// Snapshot-restore cost model and spawn policy.
-    pub opts: PoolOptions,
-    instances: HashMap<SessionId, PooledInstance>,
-    /// How many warm instances were ever spawned.
-    pub spawned: u64,
-}
-
-impl VmPool {
-    pub fn new(template: Arc<SessionTemplate>, opts: PoolOptions) -> Self {
-        VmPool {
-            template,
-            opts,
-            instances: HashMap::new(),
-            spawned: 0,
-        }
-    }
-
-    /// The template this pool forks from.
-    pub fn template(&self) -> &Arc<SessionTemplate> {
-        &self.template
-    }
-
-    /// Spawn a fresh (non-pooled) VM with `world` installed and the setup
-    /// entry run — the cold path.  Returns the VM and the setup run's
-    /// simulated cycles.
-    pub fn spawn_cold(&self, world: &World) -> Result<(Vm, u64), SpawnError> {
-        self.template.spawn_cold(world)
-    }
-
-    /// The warm instance bound to `session`, spawning (fork + optional
-    /// per-session setup + snapshot, or a fully isolated load when
-    /// [`PoolOptions::isolate_sessions`]) on first use.
-    pub fn instance(
-        &mut self,
-        session: SessionId,
-        world: &World,
-    ) -> Result<&mut PooledInstance, SpawnError> {
-        if !self.instances.contains_key(&session) {
-            let inst = self.template.session_instance(world, &self.opts)?;
-            self.spawned += 1;
-            self.instances.insert(session, inst);
-        }
-        Ok(self.instances.get_mut(&session).expect("just inserted"))
-    }
-
-    /// Number of live warm instances.
-    pub fn live(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Iterate over the live instances (order not guaranteed).
-    pub fn instances(&self) -> impl Iterator<Item = (&SessionId, &PooledInstance)> {
-        self.instances.iter()
-    }
-
-    /// Mutable access to every live instance (for parking sweeps).
-    pub fn instances_mut(&mut self) -> impl Iterator<Item = (&SessionId, &mut PooledInstance)> {
-        self.instances.iter_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{Registry, ServiceBinary, SetupSpec, VerifyPolicy};
+    use crate::store::SessionTemplate;
     use confllvm_core::{CompileOptions, Config};
     use confllvm_vm::VmOptions;
     use confllvm_workloads::{ldap, nginx};
@@ -259,16 +193,21 @@ mod tests {
         w
     }
 
+    fn isolated() -> PoolOptions {
+        PoolOptions {
+            isolate_sessions: true,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn warm_instance_serves_repeatedly_after_resets() {
-        let mut pool = VmPool::new(ldap_template(), PoolOptions::default());
-        let pool_opts = pool.opts;
-        let w = world();
-        let inst = pool.instance(SessionId::new(7), &w).unwrap();
+        let opts = PoolOptions::default();
+        let mut inst = ldap_template().session_instance(&world(), &opts).unwrap();
         assert!(inst.setup_cycles > 0, "populate must cost cycles");
         for round in 0..3 {
-            let (_dirty, cost) = inst.reset(&pool_opts);
-            assert!(cost >= pool_opts.restore_base_cycles);
+            let (_dirty, cost) = inst.reset(&opts);
+            assert!(cost >= opts.restore_base_cycles);
             let r = inst
                 .vm
                 .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(4)]);
@@ -277,37 +216,27 @@ mod tests {
             // output is exactly one response past the baseline.
             assert_eq!(inst.vm.world.sent.len() - inst.sent_baseline, 16);
         }
-        assert_eq!(pool.live(), 1);
-        assert_eq!(pool.spawned, 1);
+        assert_eq!(inst.resets, 3);
     }
 
     #[test]
     fn sessions_get_distinct_instances_with_their_own_state() {
-        let mut pool = VmPool::new(ldap_template(), PoolOptions::default());
-        let pool_opts = pool.opts;
-        let mut w1 = World::new();
-        w1.set_password("user", b"alpha-password!!");
-        let mut w2 = World::new();
-        w2.set_password("user", b"omega-password??");
-        let a = pool.instance(SessionId::new(1), &w1).unwrap();
-        let a_resp = {
-            a.reset(&pool_opts);
-            let r =
-                a.vm.run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(0)]);
+        let template = ldap_template();
+        let opts = PoolOptions::default();
+        let mut responses = Vec::new();
+        for password in [&b"alpha-password!!"[..], b"omega-password??"] {
+            let mut w = World::new();
+            w.set_password("user", password);
+            let mut inst = template.session_instance(&w, &opts).unwrap();
+            inst.reset(&opts);
+            let r = inst
+                .vm
+                .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(0)]);
             assert_eq!(r.exit_code(), Some(1));
-            a.vm.world.sent.clone()
-        };
-        let b = pool.instance(SessionId::new(2), &w2).unwrap();
-        let b_resp = {
-            b.reset(&pool_opts);
-            let r =
-                b.vm.run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(0)]);
-            assert_eq!(r.exit_code(), Some(1));
-            b.vm.world.sent.clone()
-        };
-        assert_eq!(pool.live(), 2);
+            responses.push(inst.vm.world.sent.clone());
+        }
         assert_ne!(
-            a_resp, b_resp,
+            responses[0], responses[1],
             "different private passwords declassify to different ciphertexts"
         );
     }
@@ -318,29 +247,21 @@ mod tests {
         // The directory server's populate reads passwords, so its setup runs
         // per fork — but load-time pages still share.
         assert!(!template.shared_setup);
-        let mut forked = VmPool::new(Arc::clone(&template), PoolOptions::default());
-        let mut isolated = VmPool::new(
-            template,
-            PoolOptions {
-                isolate_sessions: true,
-                ..Default::default()
-            },
-        );
         let w = world();
-        for pool in [&mut forked, &mut isolated] {
-            let opts = pool.opts;
-            let inst = pool.instance(SessionId::new(1), &w).unwrap();
+        let mut outputs = Vec::new();
+        for opts in [PoolOptions::default(), isolated()] {
+            let mut inst = template.session_instance(&w, &opts).unwrap();
             inst.reset(&opts);
             let r = inst
                 .vm
                 .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(2)]);
             assert_eq!(r.exit_code(), Some(1));
+            outputs.push((inst.vm.world.sent.clone(), inst.vm.world.log.clone()));
         }
-        let f = forked.instance(SessionId::new(1), &w).unwrap();
-        let f_out = (f.vm.world.sent.clone(), f.vm.world.log.clone());
-        let i = isolated.instance(SessionId::new(1), &w).unwrap();
-        let i_out = (i.vm.world.sent.clone(), i.vm.world.log.clone());
-        assert_eq!(f_out, i_out, "fork must be byte-identical to isolation");
+        assert_eq!(
+            outputs[0], outputs[1],
+            "fork must be byte-identical to isolation"
+        );
     }
 
     #[test]
@@ -350,19 +271,10 @@ mod tests {
         // post-setup state is shared and a freshly parked fork owns nothing.
         assert!(template.shared_setup);
         assert!(template.shared_pages() > 0);
-        let mut forked = VmPool::new(Arc::clone(&template), PoolOptions::default());
-        let mut isolated = VmPool::new(
-            template,
-            PoolOptions {
-                isolate_sessions: true,
-                ..Default::default()
-            },
-        );
         let w = nginx::file_world(2, 256, 1);
         let mut parked = Vec::new();
-        for pool in [&mut forked, &mut isolated] {
-            let opts = pool.opts;
-            let inst = pool.instance(SessionId::new(1), &w).unwrap();
+        for opts in [PoolOptions::default(), isolated()] {
+            let mut inst = template.session_instance(&w, &opts).unwrap();
             inst.reset(&opts);
             inst.vm.world.push_request(&nginx::request_bytes(0));
             let r = inst.vm.run_function(nginx::REQUEST_ENTRY, &[256]);

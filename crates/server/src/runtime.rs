@@ -1,27 +1,37 @@
-//! The service runtime: registry + snapshot store + worker threads.
+//! The service runtime: registry + snapshot store + one serving loop.
 //!
-//! [`Server::serve`] drives many concurrent sessions' request streams
-//! against one registered binary, addressed by its [`BinaryId`] handle.
-//! Sessions go into per-worker run queues with work stealing
-//! ([`WorkQueues`]): a worker drains its own queue front-first and, when
-//! empty, steals from a sibling's back — a slow session no longer strands
-//! the sessions queued behind it the way the old static round-robin shards
-//! did.  Each worker owns the VM instances of the sessions it runs (VMs are
-//! plain `Send` state, nothing is shared mutably across workers), so the
-//! simulation stays deterministic per session while the host-side work is
-//! genuinely parallel.
+//! Both entry points run requests through the same private loop
+//! (`serve_loop`): the version's fork template (one load per *version*,
+//! kept in the server's [`SnapshotStore`]) → each session's instance,
+//! created on its first request → reset to its snapshot (or, in cold mode,
+//! a fresh VM with setup re-run) → `execute_request` → metrics →
+//! [`WindowStat`](confllvm_obs::WindowStat).  The loop's dispatch order is
+//! the deterministic virtual-time scheduler ([`run_virtual`]): windowed
+//! admission into an EDF queue with a sequence-number tie-break.
 //!
-//! Per-session VMs are copy-on-write forks of a per-version
-//! [`SessionTemplate`](crate::store::SessionTemplate) kept in the server's
-//! [`SnapshotStore`] — the binary is loaded once per *version*, not per
-//! session or per worker, and sessions share its clean pages.
+//! * [`Server::serve_scaled`] runs a caller's [`ArrivalPlan`] through the
+//!   loop under a [`SchedulerConfig`] — bounded admission, shed/defer
+//!   backpressure, EDF over modelled workers — and reports queueing-aware
+//!   latency tails, the window series and per-session resident pages: the
+//!   10^4–10^5-session experiment.
+//! * [`Server::serve`] runs a *closed-loop* plan: every session's requests
+//!   arrive at cycle 0 in stream order, the queue is unbounded and nothing
+//!   is shed, so EDF with the sequence tie-break runs each session's whole
+//!   stream before the next session's.  For host parallelism the sessions
+//!   are split statically over `ServerConfig::workers` scoped threads
+//!   (session `i` goes to worker `i % workers`); each worker runs the loop
+//!   over its share and the outcomes are merged in session-id order.
+//!   Instances are plain `Send` state owned by one worker, so the
+//!   simulation stays deterministic per session while the host-side work is
+//!   parallel.
 //!
-//! Every session *pins* the binary's active version at session start
-//! ([`Registry::checkout_active`]) and releases it when its stream ends, so
-//! a blue/green promotion that lands mid-serve only affects sessions that
-//! start after it — in-flight sessions finish on the version they began
-//! with, and the drained old version retires once the last session ends and
-//! the store sweeps its template.
+//! Each call pins the binary's active version **once**, through a guard
+//! that releases the pin and sweeps the store when dropped — on success,
+//! on an error return, or while a panic unwinds.  A blue/green promotion
+//! therefore affects the calls that start after it: every session of one
+//! call runs on the version the call began with, and a drained old version
+//! retires once the last call pinned to it ends and the store sweeps its
+//! template.
 //!
 //! Two execution modes make the serving cost model measurable:
 //!
@@ -29,17 +39,15 @@
 //!   (the repeated cold compile-and-execute our earlier reproduction did).
 //! * [`ExecMode::Pooled`] — per-session warm instances are rewound to their
 //!   post-setup snapshot between requests (O(dirty pages)), the paper's
-//!   many-requests-per-load deployment.
+//!   many-requests-per-load deployment.  `serve_scaled` always runs pooled.
 //!
-//! [`Server::serve_scaled`] is the third entry point: it runs an
-//! [`ArrivalPlan`] through the deterministic virtual-time scheduler
-//! ([`run_virtual`]) over forked instances — bounded admission,
-//! backpressure (shed/defer), EDF dispatch — and reports queueing-aware
-//! latency tails plus per-session resident-page statistics, the 10^4–10^5
-//! session experiment.
+//! Observability: `serve` records a `server.serve` span per call and a
+//! `server.request` span per request with its `server.restore` (pooled) or
+//! `server.spawn` (cold) and `server.execute` phases; `serve_scaled`
+//! records one `server.scale` span and leaves per-request accounting to its
+//! window series.  There is no per-session span, steal counter or
+//! host-queue-wait counter: sessions are not queued on the host.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,11 +55,13 @@ use confllvm_vm::{Outcome, Vm, VmOptions};
 
 use crate::handles::{BinaryId, SessionId, VersionId};
 use crate::metrics::{RequestMetrics, StreamMetrics};
-use crate::pool::{PoolOptions, PooledInstance, SpawnError, VmPool};
+use crate::pool::{PoolOptions, PooledInstance, SpawnError};
 use crate::registry::{Registry, ServiceBinary};
-use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig, WorkQueues};
+use crate::sched::{
+    run_virtual, Arrival, ArrivalPlan, Backpressure, ExecCost, SchedResult, SchedulerConfig,
+};
 use crate::session::{Request, SessionSpec};
-use crate::store::SnapshotStore;
+use crate::store::{SessionTemplate, SnapshotStore};
 
 /// How requests are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +86,8 @@ impl ExecMode {
 /// `ServerConfig::new().workers(8)`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads driving sessions (host-side parallelism).
+    /// Host threads `serve` splits sessions over (session `i` runs on
+    /// thread `i % workers`).
     pub workers: usize,
     /// Options for every VM the runtime spawns.
     pub vm: VmOptions,
@@ -201,7 +212,8 @@ impl From<SpawnError> for ServeError {
 pub struct SessionOutcome {
     /// The session this outcome belongs to.
     pub id: SessionId,
-    /// The version the session was pinned to for its whole stream.
+    /// The version the serve call was pinned to (one per call, so every
+    /// session of a call reports the same version).
     pub version: VersionId,
     /// Exit code of each request's entry, in execution order (stream order
     /// for `serve`; scheduler dispatch order for `serve_scaled`, where shed
@@ -378,29 +390,46 @@ impl Server {
         self.store.live_templates()
     }
 
-    /// Fail fast on an unknown handle or an unpromoted binary; returns the
-    /// service name.
-    fn probe(&self, binary: BinaryId) -> Result<String, ServeError> {
-        let (_, probe) = checkout(&self.registry, binary)?;
-        let name = probe.name.clone();
-        self.registry.release(probe.version_id);
-        Ok(name)
+    /// Pin `binary`'s active version for one call, telling an unknown
+    /// handle apart from a known binary with no promoted version.  The pin
+    /// is released (and the store swept) when the guard drops.
+    fn checkout(&self, binary: BinaryId) -> Result<VersionPin<'_>, ServeError> {
+        let (version, service) = self.registry.checkout_active(binary).ok_or_else(|| {
+            if self.registry.versions(binary).is_empty() {
+                ServeError::UnknownBinary { binary }
+            } else {
+                ServeError::NoActiveVersion { binary }
+            }
+        })?;
+        Ok(VersionPin {
+            server: self,
+            version,
+            service,
+        })
+    }
+
+    /// The pinned version's fork template, built through the store on
+    /// first use.
+    fn template(&self, pin: &VersionPin<'_>) -> Result<Arc<SessionTemplate>, ServeError> {
+        let mut vm_opts = self.config.vm.clone();
+        vm_opts.allocator = pin.service.config.allocator();
+        Ok(self.store.template(pin.version, &pin.service, vm_opts)?)
     }
 
     /// Serve every session's request stream against `binary`'s active
-    /// version, spreading sessions over work-stealing worker threads.  Each
-    /// session pins the version active *when it starts* and keeps it for
-    /// its whole stream.
+    /// version, pinned once for the whole call.  The sessions are split
+    /// statically over `ServerConfig::workers` threads (session `i` runs on
+    /// worker `i % workers`); each worker runs the serving loop over its
+    /// share as a closed-loop plan — every request queued at cycle 0 in
+    /// stream order, so each session's stream runs to completion before the
+    /// next session starts.
     pub fn serve(
         &self,
         binary: BinaryId,
         sessions: &[SessionSpec],
         mode: ExecMode,
     ) -> Result<ServiceReport, ServeError> {
-        // Fail fast before any worker starts (individual sessions still
-        // re-checkout so a mid-run promotion is picked up by later
-        // sessions).
-        let name = self.probe(binary)?;
+        let pin = self.checkout(binary)?;
         let mut ids = std::collections::HashSet::new();
         for s in sessions {
             if !ids.insert(s.id) {
@@ -414,49 +443,45 @@ impl Server {
             obs_span.attr("mode", mode.name());
             obs_span.attr("workers", self.config.workers);
         }
+        let template = self.template(&pin)?;
+        let ctx = LoopCtx {
+            template: &template,
+            pool: self.config.pool,
+            mode,
+            request_spans: true,
+        };
 
         let workers = self.config.workers.max(1).min(sessions.len().max(1));
-        let queues = WorkQueues::new(workers, 0..sessions.len());
-        let abort = AtomicBool::new(false);
-
-        type WorkerYield = (Vec<(usize, Result<SessionOutcome, ServeError>)>, u64);
-        let results: Vec<WorkerYield> = std::thread::scope(|scope| {
+        let results: Vec<Result<LoopRun, (usize, ServeError)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let queues = &queues;
-                    let abort = &abort;
-                    let store = &self.store;
-                    let registry = Arc::clone(&self.registry);
-                    let vm_opts = self.config.vm.clone();
-                    let pool_opts = self.config.pool;
+                    let ctx = &ctx;
                     scope.spawn(move || {
-                        run_worker(
-                            w, queues, abort, store, &registry, binary, vm_opts, pool_opts,
-                            sessions, mode, started,
-                        )
+                        let share: Vec<&SessionSpec> =
+                            sessions.iter().skip(w).step_by(workers).collect();
+                        serve_loop(ctx, &share, &closed_loop_plan(&share), &CLOSED_LOOP)
+                            .map_err(|(i, e)| (w + i * workers, e))
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
 
         let mut outcomes = Vec::with_capacity(sessions.len());
         let mut spawned = 0;
-        let mut errors: Vec<(usize, ServeError)> = Vec::new();
-        for (worker_outcomes, worker_spawned) in results {
-            spawned += worker_spawned;
-            for (index, r) in worker_outcomes {
-                match r {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(e) => errors.push((index, e)),
+        let mut errors = Vec::new();
+        for result in results {
+            match result {
+                Ok(run) => {
+                    spawned += run.spawned;
+                    outcomes.extend(run.outcomes);
                 }
+                Err(e) => errors.push(e),
             }
         }
-        // Retire drained versions whose last session just released.
-        self.store.sweep();
         if let Some((_, e)) = errors.into_iter().min_by_key(|(i, _)| *i) {
             return Err(e);
         }
@@ -471,7 +496,7 @@ impl Server {
         }
         Ok(ServiceReport {
             binary,
-            name,
+            name: pin.service.name.clone(),
             mode,
             sessions: outcomes,
             metrics,
@@ -480,16 +505,16 @@ impl Server {
         })
     }
 
-    /// Run an [`ArrivalPlan`] against `binary` through the deterministic
-    /// virtual-time scheduler: bounded admission windows, shed/defer
-    /// backpressure, EDF dispatch over `sched.model_workers` virtual
-    /// workers.  All sessions fork from the version's shared template (or
-    /// spawn fully isolated under [`PoolOptions::isolate_sessions`] — the
-    /// baseline), and the report carries queueing-aware latency tails plus
-    /// resident-page statistics.  When a fresh fork is pristine (the setup
-    /// is shared and sessions are not isolated) a session is forked on its
-    /// first dispatched request, so only sessions that execute are ever
-    /// forked ([`ResidentStats::materialised_sessions`]).
+    /// Run an [`ArrivalPlan`] against `binary` through the serving loop
+    /// under `sched`: bounded admission windows, shed/defer backpressure,
+    /// EDF dispatch over `sched.model_workers` virtual workers.  All
+    /// sessions fork from the version's shared template (or spawn fully
+    /// isolated under [`PoolOptions::isolate_sessions`] — the baseline), and
+    /// the report carries queueing-aware latency tails plus resident-page
+    /// statistics.  When a fresh fork is pristine (the setup is shared and
+    /// sessions are not isolated) a session is forked on its first
+    /// dispatched request, so only sessions that execute are ever forked
+    /// ([`ResidentStats::materialised_sessions`]).
     ///
     /// `sessions[i]` must have at least as many requests as the plan sends
     /// to session `i` (build the specs from
@@ -504,114 +529,26 @@ impl Server {
         let rec = confllvm_obs::recorder();
         let started = Instant::now();
         let cache_hits_before = self.registry.cache_stats().hits;
-        let (version, service) = checkout(&self.registry, binary)?;
-        let name = service.name.clone();
+        let pin = self.checkout(binary)?;
         let mut span = rec.span("server", "server.scale");
-        let finish = |r: &Registry, store: &SnapshotStore| {
-            r.release(version);
-            store.sweep();
-        };
-
-        let mut vm_opts = self.config.vm.clone();
-        vm_opts.allocator = service.config.allocator();
-        let template = match self.store.template(version, &service, vm_opts) {
-            Ok(t) => t,
-            Err(e) => {
-                finish(&self.registry, &self.store);
-                return Err(e.into());
-            }
-        };
+        let template = self.template(&pin)?;
         let pool_opts = self.config.pool;
-
-        // A session's instance is spawned from the template on its first
-        // dispatched request when a fresh one is provably pristine (a CoW
-        // fork of a shared setup owns no page and takes no fault until it
-        // runs), so a session that never executes is never forked and parks
-        // at exactly what an untouched fork would: zero pages, zero faults.
-        // Instances that hold private pages from birth — the isolated
-        // baseline, and per-fork setup, which can also fail at admission —
-        // are still spawned up front so residency is measured honestly and
-        // spawn errors surface before the run.
-        let mut instances: Vec<Option<PooledInstance>> = sessions.iter().map(|_| None).collect();
-        if !template.fork_is_pristine(&pool_opts) {
-            for (slot, s) in instances.iter_mut().zip(sessions) {
-                match template.session_instance(&s.world, &pool_opts) {
-                    Ok(i) => *slot = Some(i),
-                    Err(e) => {
-                        finish(&self.registry, &self.store);
-                        return Err(e.into());
-                    }
-                }
-            }
-        }
-
-        let mut outcomes: Vec<SessionOutcome> = sessions
-            .iter()
-            .map(|s| SessionOutcome::empty(s.id, version))
-            .collect();
-        let mut peak_pages = vec![0usize; sessions.len()];
-        let mut first_error: Option<ServeError> = None;
-
-        let drain = ExecCost {
-            cycles: 1,
-            cow_faults: 0,
+        let ctx = LoopCtx {
+            template: &template,
+            pool: pool_opts,
+            mode: ExecMode::Pooled,
+            request_spans: false,
         };
-        let mut sched_result = run_virtual(sched, plan, |si, ri| {
-            if first_error.is_some() {
-                return drain; // drain the plan cheaply once the run has failed
-            }
-            let Some(req) = sessions[si].requests.get(ri) else {
-                first_error = Some(ServeError::PlanMismatch {
-                    session: sessions[si].id,
-                    index: ri,
-                });
-                return drain;
-            };
-            let slot = &mut instances[si];
-            if slot.is_none() {
-                match template.session_instance(&sessions[si].world, &pool_opts) {
-                    Ok(i) => *slot = Some(i),
-                    Err(e) => {
-                        first_error = Some(e.into());
-                        return drain;
-                    }
-                }
-            }
-            let inst = slot.as_mut().expect("materialised above");
-            let cow_before = inst.vm.cow_faults();
-            let (dirty, restore_cycles) = inst.reset(&pool_opts);
-            let baselines = (inst.sent_baseline, inst.log_baseline);
-            let out = &mut outcomes[si];
-            let mut m = match execute_request(&mut inst.vm, baselines, req, ri, false, out) {
-                Ok(m) => m,
-                Err(e) => {
-                    first_error = Some(e);
-                    return drain;
-                }
-            };
-            m.restore_cycles = restore_cycles;
-            m.dirty_pages = dirty;
-            m.cycles += restore_cycles;
-            out.metrics.add(&m);
-            peak_pages[si] = peak_pages[si].max(inst.vm.resident_private_pages());
-            ExecCost {
-                cycles: m.cycles,
-                cow_faults: inst.vm.cow_faults() - cow_before,
-            }
-        });
-
-        if let Some(e) = first_error {
-            finish(&self.registry, &self.store);
-            return Err(e);
-        }
+        let share: Vec<&SessionSpec> = sessions.iter().collect();
+        let mut run = serve_loop(&ctx, &share, plan, sched).map_err(|(_, e)| e)?;
 
         // Park every materialised session (rewind to its snapshot) and
         // measure what an idle session actually keeps resident.  A session
         // that was never forked holds nothing, exactly like an untouched
         // fork, so it counts as zero pages and zero faults.
-        let mut parked: Vec<usize> = Vec::with_capacity(instances.len());
+        let mut parked: Vec<usize> = Vec::with_capacity(run.instances.len());
         let mut cow_faults = 0u64;
-        for inst in instances.iter_mut().flatten() {
+        for inst in run.instances.iter_mut().flatten() {
             inst.reset(&pool_opts);
             parked.push(inst.resident_private_pages());
             cow_faults += inst.vm.cow_faults();
@@ -622,11 +559,13 @@ impl Server {
             mean_parked_pages: parked.iter().sum::<usize>() as f64 / n as f64,
             max_parked_pages: parked.iter().copied().max().unwrap_or(0),
             total_parked_pages: parked.iter().sum(),
-            mean_peak_pages: peak_pages.iter().sum::<usize>() as f64 / n as f64,
+            mean_peak_pages: run.peak_pages.iter().sum::<usize>() as f64 / n as f64,
             cow_faults,
             materialised_sessions: parked.len(),
         };
 
+        let sched_result = &mut run.sched;
+        let mut outcomes = run.outcomes;
         let mut metrics = StreamMetrics::default();
         outcomes.sort_by_key(|s| s.id);
         for o in &outcomes {
@@ -666,7 +605,8 @@ impl Server {
             span.cycles(sched_result.makespan_cycles);
         }
         drop(span);
-        finish(&self.registry, &self.store);
+        let (version, name) = (pin.version, pin.service.name.clone());
+        drop(pin);
 
         Ok(ScaleReport {
             binary,
@@ -685,203 +625,234 @@ impl Server {
     }
 }
 
-/// One worker's run loop: pop (or steal) session indices until the queues
-/// drain or a sibling aborts the run.  Each session checks out the active
-/// version at its start (pinning it), serves its whole stream on a pool
-/// forked from that version's template, and releases it at the end —
-/// success or failure.  Returns `(index, outcome)` pairs plus the number of
-/// VMs this worker spawned.
-///
-/// With the recorder enabled, each session records a `server`-layer span
-/// carrying its pinned version and how long it waited behind earlier
-/// sessions (`queue_wait_nanos`, measured from `queued_at`, the instant
-/// `serve` enqueued the sessions), and every stolen pop bumps the
-/// `server.steal` counter.
-/// What one worker hands back: `(session index, outcome)` pairs in the
-/// order it ran them, plus how many VMs it spawned.
-type WorkerOutcomes = (Vec<(usize, Result<SessionOutcome, ServeError>)>, u64);
-
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    worker: usize,
-    queues: &WorkQueues<usize>,
-    abort: &AtomicBool,
-    store: &SnapshotStore,
-    registry: &Registry,
-    binary: BinaryId,
-    vm_opts: VmOptions,
-    pool_opts: PoolOptions,
-    sessions: &[SessionSpec],
-    mode: ExecMode,
-    queued_at: Instant,
-) -> WorkerOutcomes {
-    let rec = confllvm_obs::recorder();
-    let mut pools: HashMap<VersionId, VmPool> = HashMap::new();
-    let mut outcomes = Vec::new();
-    let mut cold_spawned = 0u64;
-    while !abort.load(Ordering::Relaxed) {
-        let Some((index, stolen)) = queues.pop(worker) else {
-            break;
-        };
-        if stolen {
-            rec.count("server.steal", 1);
-        }
-        let session = &sessions[index];
-        let result = run_one_session(
-            store, registry, binary, &vm_opts, pool_opts, &mut pools, session, mode, queued_at,
-        );
-        if let ExecMode::Cold = mode {
-            cold_spawned += session.requests.len() as u64;
-        }
-        if result.is_err() {
-            abort.store(true, Ordering::Relaxed);
-        }
-        outcomes.push((index, result));
-    }
-    let spawned = match mode {
-        ExecMode::Pooled => pools.values().map(|p| p.spawned).sum(),
-        ExecMode::Cold => cold_spawned,
-    };
-    (outcomes, spawned)
-}
-
-/// Serve one session end to end: checkout → pool lookup (building the
-/// version's template through the store on first use) → stream → release.
-#[allow(clippy::too_many_arguments)]
-fn run_one_session(
-    store: &SnapshotStore,
-    registry: &Registry,
-    binary: BinaryId,
-    vm_opts: &VmOptions,
-    pool_opts: PoolOptions,
-    pools: &mut HashMap<VersionId, VmPool>,
-    session: &SessionSpec,
-    mode: ExecMode,
-    queued_at: Instant,
-) -> Result<SessionOutcome, ServeError> {
-    let rec = confllvm_obs::recorder();
-    let mut span = rec.span("server", "server.session");
-    let queue_wait_nanos = span.active().then(|| queued_at.elapsed().as_nanos() as u64);
-    let (version, service) = checkout(registry, binary)?;
-    let pool = match pools.entry(version) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            let mut opts = vm_opts.clone();
-            opts.allocator = service.config.allocator();
-            match store.template(version, &service, opts) {
-                Ok(template) => slot.insert(VmPool::new(template, pool_opts)),
-                Err(e) => {
-                    registry.release(version);
-                    return Err(e.into());
-                }
-            }
-        }
-    };
-    let result = match mode {
-        ExecMode::Pooled => run_session_pooled(pool, version, session),
-        ExecMode::Cold => run_session_cold(pool, version, session),
-    };
-    registry.release(version);
-    if span.active() {
-        span.attr("session", session.id.raw());
-        span.attr("version", version.raw());
-        span.attr("requests", session.requests.len());
-        span.attr("queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
-        rec.count("server.queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
-        rec.count("server.sessions", 1);
-    }
-    result
-}
-
-fn run_session_pooled(
-    pool: &mut VmPool,
+/// One version pinned for one serve call.  Dropping the guard — on
+/// success, on an error return, or while a panic unwinds — releases the
+/// pin and sweeps the store, so a failed run can never hold a drained
+/// version open.
+struct VersionPin<'a> {
+    server: &'a Server,
     version: VersionId,
-    session: &SessionSpec,
-) -> Result<SessionOutcome, ServeError> {
-    let pool_opts = pool.opts;
-    let inst = pool.instance(session.id, &session.world)?;
-    let mut out = SessionOutcome::empty(session.id, version);
-    for (index, req) in session.requests.iter().enumerate() {
-        let rec = confllvm_obs::recorder();
-        let mut req_span = rec.span("server", "server.request");
-        let host_t0 = Instant::now();
-        let (dirty, restore_cycles) = {
-            let mut restore_span = rec.span("server", "server.restore");
-            let (dirty, restore_cycles) = inst.reset(&pool_opts);
-            if restore_span.active() {
-                restore_span.attr("dirty_pages", dirty);
-                restore_span.cycles(restore_cycles);
-            }
-            (dirty, restore_cycles)
-        };
-        let baselines = (inst.sent_baseline, inst.log_baseline);
-        let mut m = execute_request(&mut inst.vm, baselines, req, index, true, &mut out)?;
-        m.restore_cycles = restore_cycles;
-        m.dirty_pages = dirty;
-        m.cycles += restore_cycles;
-        m.host_nanos = Some(host_t0.elapsed().as_nanos() as u64);
-        if req_span.active() {
-            req_span.attr("index", index);
-            req_span.attr("dirty_pages", m.dirty_pages);
-            req_span.attr("restore_cycles", m.restore_cycles);
-            req_span.attr("tcross", m.stack_switches);
-            req_span.attr("extern_cycles", m.extern_cycles);
-            req_span.cycles(m.cycles);
-        }
-        drop(req_span);
-        out.metrics.add(&m);
-    }
-    Ok(out)
+    service: Arc<ServiceBinary>,
 }
 
-fn run_session_cold(
-    pool: &VmPool,
-    version: VersionId,
-    session: &SessionSpec,
-) -> Result<SessionOutcome, ServeError> {
-    let mut out = SessionOutcome::empty(session.id, version);
-    for (index, req) in session.requests.iter().enumerate() {
-        let rec = confllvm_obs::recorder();
-        let mut req_span = rec.span("server", "server.request");
-        let host_t0 = Instant::now();
-        let (mut vm, setup_cycles) = {
-            let mut spawn_span = rec.span("server", "server.spawn");
-            let (vm, setup_cycles) = pool.spawn_cold(&session.world)?;
-            if spawn_span.active() {
-                spawn_span.cycles(setup_cycles);
-            }
-            (vm, setup_cycles)
-        };
-        let baselines = (vm.world.sent.len(), vm.world.log.len());
-        let mut m = execute_request(&mut vm, baselines, req, index, true, &mut out)?;
-        m.setup_cycles = setup_cycles;
-        m.cycles += setup_cycles;
-        m.host_nanos = Some(host_t0.elapsed().as_nanos() as u64);
-        if req_span.active() {
-            req_span.attr("index", index);
-            req_span.attr("setup_cycles", m.setup_cycles);
-            req_span.attr("tcross", m.stack_switches);
-            req_span.attr("extern_cycles", m.extern_cycles);
-            req_span.cycles(m.cycles);
-        }
-        drop(req_span);
-        out.metrics.add(&m);
+impl Drop for VersionPin<'_> {
+    fn drop(&mut self) {
+        self.server.registry.release(self.version);
+        // Retire drained versions whose last pin just went.
+        self.server.store.sweep();
     }
-    Ok(out)
 }
 
-/// Pin `binary`'s active version, telling an unknown handle apart from a
-/// known binary with no promoted version.
-fn checkout(
-    registry: &Registry,
-    binary: BinaryId,
-) -> Result<(VersionId, Arc<ServiceBinary>), ServeError> {
-    registry.checkout_active(binary).ok_or_else(|| {
-        if registry.versions(binary).is_empty() {
-            ServeError::UnknownBinary { binary }
-        } else {
-            ServeError::NoActiveVersion { binary }
+/// The dispatch policy of `serve`'s closed loop: one modelled worker, an
+/// unbounded queue and a window no arrival can miss, so nothing is ever
+/// shed or deferred; a zero SLO gives every arrival the same deadline and
+/// leaves the order to the sequence-number tie-break — plan order.
+const CLOSED_LOOP: SchedulerConfig = SchedulerConfig {
+    model_workers: 1,
+    queue_capacity: usize::MAX,
+    backpressure: Backpressure::Shed,
+    slo_cycles: 0,
+    window_cycles: u64::MAX,
+    defer_age_windows: u64::MAX,
+};
+
+/// Every request of every session in `share`, arriving at cycle 0 in
+/// stream order, session-major.
+fn closed_loop_plan(share: &[&SessionSpec]) -> ArrivalPlan {
+    let arrivals = share
+        .iter()
+        .enumerate()
+        .flat_map(|(session, spec)| {
+            (0..spec.requests.len()).map(move |request| Arrival {
+                vtime: 0,
+                session,
+                request,
+            })
+        })
+        .collect();
+    ArrivalPlan { arrivals }
+}
+
+/// What the serving loop runs against, and how.
+struct LoopCtx<'a> {
+    template: &'a SessionTemplate,
+    pool: PoolOptions,
+    mode: ExecMode,
+    /// Record a `server.request` span, with its restore/spawn and execute
+    /// phases, per request.  `serve` does; the scale sweep, whose requests
+    /// the window series accounts for, does not.
+    request_spans: bool,
+}
+
+/// What one pass of the serving loop leaves behind, indexed like the
+/// sessions it ran.
+struct LoopRun {
+    outcomes: Vec<SessionOutcome>,
+    /// Each session's warm instance; `None` for a session never given one
+    /// (and for every session in cold mode).
+    instances: Vec<Option<PooledInstance>>,
+    /// The largest private-page count any of a session's requests left
+    /// behind before its rewind.
+    peak_pages: Vec<usize>,
+    /// VMs spawned: warm instances when pooled, one per request when cold.
+    spawned: u64,
+    sched: SchedResult,
+}
+
+/// The serving loop: run `plan` over `sessions` through the virtual-time
+/// scheduler, each dispatched request going through [`run_request`].  On
+/// the first failure the rest of the plan drains without executing, and
+/// the error comes back with the index of the session it hit.
+fn serve_loop(
+    ctx: &LoopCtx<'_>,
+    sessions: &[&SessionSpec],
+    plan: &ArrivalPlan,
+    sched: &SchedulerConfig,
+) -> Result<LoopRun, (usize, ServeError)> {
+    let version = ctx.template.version;
+    let mut run = LoopRun {
+        outcomes: sessions
+            .iter()
+            .map(|s| SessionOutcome::empty(s.id, version))
+            .collect(),
+        instances: sessions.iter().map(|_| None).collect(),
+        peak_pages: vec![0; sessions.len()],
+        spawned: 0,
+        sched: SchedResult::default(),
+    };
+
+    // A session's instance is spawned from the template on its first
+    // dispatched request when a fresh one is provably pristine (a CoW fork
+    // of a shared setup owns no page and takes no fault until it runs), so
+    // a session that never executes is never forked and parks at exactly
+    // what an untouched fork would: zero pages, zero faults.  Instances
+    // that hold private pages from birth — the isolated baseline, and
+    // per-fork setup, which can also fail at admission — are still spawned
+    // up front so residency is measured honestly and spawn errors surface
+    // before the run.
+    if ctx.mode == ExecMode::Pooled && !ctx.template.fork_is_pristine(&ctx.pool) {
+        for (i, (slot, s)) in run.instances.iter_mut().zip(sessions).enumerate() {
+            let inst = ctx
+                .template
+                .session_instance(&s.world, &ctx.pool)
+                .map_err(|e| (i, e.into()))?;
+            *slot = Some(inst);
+            run.spawned += 1;
         }
+    }
+
+    let mut first_error = None;
+    let drain = ExecCost {
+        cycles: 1,
+        cow_faults: 0,
+    };
+    run.sched = run_virtual(sched, plan, |si, ri| {
+        if first_error.is_some() {
+            return drain; // drain the plan cheaply once the run has failed
+        }
+        let slot = &mut run.instances[si];
+        let (out, peak) = (&mut run.outcomes[si], &mut run.peak_pages[si]);
+        match run_request(ctx, sessions[si], ri, slot, out, peak, &mut run.spawned) {
+            Ok(cost) => cost,
+            Err(e) => {
+                first_error = Some((si, e));
+                drain
+            }
+        }
+    });
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(run),
+    }
+}
+
+/// Run request `index` of `session`: take its warm instance (spawning it
+/// into `slot` on first use) and rewind it, or spawn a cold VM; execute;
+/// fold the request's metrics into `out`.  Returns what the request
+/// occupied its worker for.
+fn run_request(
+    ctx: &LoopCtx<'_>,
+    session: &SessionSpec,
+    index: usize,
+    slot: &mut Option<PooledInstance>,
+    out: &mut SessionOutcome,
+    peak_pages: &mut usize,
+    spawned: &mut u64,
+) -> Result<ExecCost, ServeError> {
+    let req = session
+        .requests
+        .get(index)
+        .ok_or(ServeError::PlanMismatch {
+            session: session.id,
+            index,
+        })?;
+    let rec = confllvm_obs::recorder();
+    let span = |name| ctx.request_spans.then(|| rec.span("server", name));
+    let mut req_span = span("server.request");
+
+    let mut cold_vm;
+    let (vm, baselines, cow_before, setup_cycles, restore_cycles, dirty) = match ctx.mode {
+        ExecMode::Pooled => {
+            if slot.is_none() {
+                *slot = Some(ctx.template.session_instance(&session.world, &ctx.pool)?);
+                *spawned += 1;
+            }
+            let inst = slot.as_mut().expect("materialised above");
+            let cow_before = inst.vm.cow_faults();
+            let mut restore_span = span("server.restore");
+            let (dirty, restore_cycles) = inst.reset(&ctx.pool);
+            if let Some(s) = restore_span.as_mut().filter(|s| s.active()) {
+                s.attr("dirty_pages", dirty);
+                s.cycles(restore_cycles);
+            }
+            drop(restore_span);
+            let baselines = (inst.sent_baseline, inst.log_baseline);
+            (
+                &mut inst.vm,
+                baselines,
+                cow_before,
+                0,
+                restore_cycles,
+                dirty,
+            )
+        }
+        ExecMode::Cold => {
+            let mut spawn_span = span("server.spawn");
+            let (vm, setup_cycles) = ctx.template.spawn_cold(&session.world)?;
+            *spawned += 1;
+            if let Some(s) = spawn_span.as_mut().filter(|s| s.active()) {
+                s.cycles(setup_cycles);
+            }
+            drop(spawn_span);
+            cold_vm = vm;
+            let baselines = (cold_vm.world.sent.len(), cold_vm.world.log.len());
+            (&mut cold_vm, baselines, 0, setup_cycles, 0, 0)
+        }
+    };
+    let mut m = execute_request(vm, baselines, req, index, ctx.request_spans, out)?;
+    m.setup_cycles = setup_cycles;
+    m.restore_cycles = restore_cycles;
+    m.dirty_pages = dirty;
+    m.cycles += setup_cycles + restore_cycles;
+    *peak_pages = (*peak_pages).max(vm.resident_private_pages());
+    if let Some(s) = req_span.as_mut().filter(|s| s.active()) {
+        s.attr("index", index);
+        match ctx.mode {
+            ExecMode::Pooled => {
+                s.attr("dirty_pages", m.dirty_pages);
+                s.attr("restore_cycles", m.restore_cycles);
+            }
+            ExecMode::Cold => s.attr("setup_cycles", m.setup_cycles),
+        }
+        s.attr("tcross", m.stack_switches);
+        s.attr("extern_cycles", m.extern_cycles);
+        s.cycles(m.cycles);
+    }
+    drop(req_span);
+    out.metrics.add(&m);
+    Ok(ExecCost {
+        cycles: m.cycles,
+        cow_faults: vm.cow_faults() - cow_before,
     })
 }
 
@@ -1016,10 +987,6 @@ mod tests {
         assert!(pooled.metrics.restore_cycles > 0);
         assert_eq!(cold.metrics.restore_cycles, 0);
         assert!(cold.metrics.setup_cycles > 0);
-        assert!(
-            pooled.metrics.host_nanos > 0,
-            "requests must carry measured host time"
-        );
     }
 
     #[test]
@@ -1419,5 +1386,70 @@ mod tests {
             .serve_scaled(binary, &sessions, &plan, &SchedulerConfig::default())
             .unwrap_err();
         assert!(matches!(err, ServeError::PlanMismatch { .. }), "{err}");
+        // The failed run released its pin: only the store's template pin
+        // remains, and dropping the server releases that too.
+        let registry = Arc::clone(&server.registry);
+        let v = registry.active_version(binary).unwrap();
+        assert_eq!(registry.version_info(v).unwrap().pins, 1);
+        drop(server);
+        assert_eq!(registry.version_info(v).unwrap().pins, 0);
+    }
+
+    #[test]
+    fn a_faulting_setup_fails_serve_without_leaking_a_pin() {
+        // The setup divides by its argument, zero: it faults against the
+        // template's reference world (so it is not shared) and in every
+        // session's own instance.
+        const SOURCE: &str = "
+            int setup(int n) { return 100 / n; }
+            int handle(int x) { return x; }
+        ";
+        let registry = Arc::new(Registry::new(VerifyPolicy::RequireVerified));
+        let opts = CompileOptions {
+            config: Config::OurMpx,
+            entry: "setup".to_string(),
+            ..Default::default()
+        };
+        let v = registry
+            .deploy_source("faulty", SOURCE, &opts, Some(SetupSpec::new("setup", &[0])))
+            .expect("the service verifies; only its setup faults at run time");
+        let binary = registry.binary_id("faulty").unwrap();
+        let sessions: Vec<SessionSpec> = (0..3u64)
+            .map(|id| {
+                SessionSpec::new(
+                    id,
+                    confllvm_vm::World::new(),
+                    vec![Request::new("handle", &[id as i64])],
+                )
+            })
+            .collect();
+        for mode in [ExecMode::Pooled, ExecMode::Cold] {
+            let server = Server::new(Arc::clone(&registry), ServerConfig::new());
+            let err = server.serve(binary, &sessions, mode).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Spawn(SpawnError::Setup { .. })),
+                "{mode:?}: {err}"
+            );
+            assert_eq!(
+                registry.version_info(v).unwrap().pins,
+                server.live_templates() as u64,
+                "{mode:?}: only the store's template may still pin the version"
+            );
+            drop(server);
+            assert_eq!(registry.version_info(v).unwrap().pins, 0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_while_pinned_releases_the_pin() {
+        let (server, binary) = nginx_server();
+        let v = server.registry.active_version(binary).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _pin = server.checkout(binary).unwrap();
+            assert_eq!(server.registry.version_info(v).unwrap().pins, 1);
+            panic!("a worker failed mid-run");
+        }));
+        assert!(result.is_err());
+        assert_eq!(server.registry.version_info(v).unwrap().pins, 0);
     }
 }

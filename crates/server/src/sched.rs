@@ -1,22 +1,19 @@
-//! The event-driven, backpressured scheduler.
+//! The deterministic, backpressured virtual-time scheduler.
 //!
-//! Two cooperating pieces replace the old shard-per-thread blocking
-//! dispatch:
-//!
-//! * [`WorkQueues`] — per-worker deques with work stealing, used by the real
-//!   serve loop's threads.  A worker pops its own queue from the front and,
-//!   when empty, steals from a sibling's back, so a slow session on one
-//!   worker no longer strands the sessions sharded behind it.
-//! * [`run_virtual`] — a deterministic *virtual-time* run loop used by the
-//!   scale benchmarks.  Arrivals (from
-//!   [`RequestGen::arrival_plan`](crate::reqgen::RequestGen::arrival_plan))
-//!   are admitted in fixed windows into a bounded queue; overflow is either
-//!   **shed** (counted, dropped) or **deferred** (retried next window, its
-//!   wait charged to latency); a fixed set of model workers drains the queue
-//!   in earliest-deadline-first order.  Everything is integer arithmetic
-//!   over simulated cycles with total-order tie-breaks, so queue depths,
-//!   shed counts and the p99.9 latency tail are byte-stable across hosts —
-//!   the same rule the rest of the workspace applies to cycle counts.
+//! [`run_virtual`] is the one dispatch loop of the serving runtime: both
+//! `Server::serve` (a closed-loop plan per host thread) and
+//! `Server::serve_scaled` (a caller's plan) run their requests through it.
+//! Arrivals (from
+//! [`RequestGen::arrival_plan`](crate::reqgen::RequestGen::arrival_plan), or
+//! every request at cycle 0 for the closed loop) are admitted in fixed
+//! windows into a bounded queue; overflow is either **shed** (counted,
+//! dropped) or **deferred** (retried next window, its wait charged to
+//! latency); a fixed set of model workers drains the queue in
+//! earliest-deadline-first order, ties broken by arrival sequence number.
+//! Everything is integer arithmetic over simulated cycles with total-order
+//! tie-breaks, so queue depths, shed counts and the p99.9 latency tail are
+//! byte-stable across hosts — the same rule the rest of the workspace
+//! applies to cycle counts.
 //!
 //! Virtual time is sound here because every request is served from a
 //! snapshot-reset instance: its simulated cost does not depend on when the
@@ -25,7 +22,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Mutex;
 
 use confllvm_obs::{WindowSeries, WindowStat};
 
@@ -121,11 +117,6 @@ impl ArrivalPlan {
 
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
-    }
-
-    /// Last arrival time (0 when empty).
-    pub fn horizon(&self) -> u64 {
-        self.arrivals.last().map_or(0, |a| a.vtime)
     }
 
     /// How many requests each of `sessions` sessions receives — the shape
@@ -308,7 +299,6 @@ where
         let depth = queue.len() as u64;
         result.queue_depth_samples.push(depth);
         wstat.queue_depth = depth;
-        rec.record_hist("server.queue_depth", depth);
 
         // Dispatch: any worker whose clock is inside the window picks the
         // most urgent queued request; service may run past the window edge
@@ -351,48 +341,6 @@ where
         window_start = window_end;
     }
     result
-}
-
-/// Per-worker FIFO queues with sibling stealing, for the real (host-thread)
-/// serve loop.  `pop` takes from the worker's own front; an empty worker
-/// steals from the *back* of the next non-empty sibling, the classic
-/// deque discipline that keeps stolen work coarse.
-#[derive(Debug)]
-pub struct WorkQueues<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
-}
-
-impl<T> WorkQueues<T> {
-    /// Distribute `items` round-robin over `workers` queues.
-    pub fn new(workers: usize, items: impl IntoIterator<Item = T>) -> Self {
-        let workers = workers.max(1);
-        let mut queues: Vec<VecDeque<T>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push_back(item);
-        }
-        WorkQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next item for `worker`: its own queue's front, else a steal from a
-    /// sibling's back.  Returns the item and whether it was stolen.
-    pub fn pop(&self, worker: usize) -> Option<(T, bool)> {
-        let n = self.queues.len();
-        if let Some(item) = self.lock(worker % n).pop_front() {
-            return Some((item, false));
-        }
-        for off in 1..n {
-            if let Some(item) = self.lock((worker + off) % n).pop_back() {
-                return Some((item, true));
-            }
-        }
-        None
-    }
-
-    fn lock(&self, idx: usize) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        self.queues[idx].lock().expect("work queue lock poisoned")
-    }
 }
 
 #[cfg(test)]
@@ -542,18 +490,6 @@ mod tests {
             a.latency_percentile_milli(999),
             b.latency_percentile_milli(999)
         );
-    }
-
-    #[test]
-    fn work_queues_steal_from_siblings() {
-        let q = WorkQueues::new(2, 0..4);
-        // Round-robin: worker 0 gets [0, 2], worker 1 gets [1, 3].
-        assert_eq!(q.pop(0), Some((0, false)));
-        assert_eq!(q.pop(0), Some((2, false)));
-        // Worker 0 is empty: steals from worker 1's back.
-        assert_eq!(q.pop(0), Some((3, true)));
-        assert_eq!(q.pop(1), Some((1, false)));
-        assert_eq!(q.pop(1), None);
     }
 
     #[test]

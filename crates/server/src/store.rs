@@ -32,11 +32,11 @@
 //! the store, exactly like a session does, so a version with live templates
 //! drains instead of retiring mid-fork.  [`SnapshotStore::sweep`] evicts
 //! templates whose version is no longer active and releases their pins —
-//! the serve loop sweeps after sessions finish, which is what lets a
-//! drained old version finally retire after a promotion.
+//! every serve call sweeps when it releases its own pin, which is what lets
+//! a drained old version finally retire after a promotion.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use confllvm_vm::{Vm, VmOptions, VmSnapshot, World};
 
@@ -204,9 +204,9 @@ impl SessionTemplate {
     }
 }
 
-/// Version-keyed store of fork templates, shared by every worker of a
+/// Version-keyed store of fork templates, shared by every serve call of a
 /// server.  Templates are built on first use (one load + setup probe per
-/// version, not per session or per worker) and hold a registry pin until
+/// version, not per session or per call) and hold a registry pin until
 /// [`SnapshotStore::sweep`] evicts them.
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -222,13 +222,20 @@ impl SnapshotStore {
         }
     }
 
+    /// The template map.  A panic while the lock was held (a template
+    /// build that panicked) cannot leave the map half-updated — entries are
+    /// only ever inserted whole or removed — so a poisoned lock is taken as
+    /// is: the serve call's pin guard sweeps the store while that panic
+    /// unwinds.
     fn lock(&self) -> MutexGuard<'_, HashMap<VersionId, Arc<SessionTemplate>>> {
-        self.templates.lock().expect("snapshot store lock poisoned")
+        self.templates
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The template for `version`, building (and pinning the version) on
     /// first use.  The build holds the store lock so exactly one load +
-    /// setup probe runs per version: racing workers block briefly and reuse
+    /// setup probe runs per version: racing serve calls block briefly and reuse
     /// the winner's template.  A duplicate probe would not be unsound, but
     /// it would execute the setup entry a scheduling-dependent number of
     /// times — which the deterministic sampling profiler would observe.
@@ -255,7 +262,7 @@ impl SnapshotStore {
 
     /// Evict templates whose version is no longer active, releasing their
     /// pins.  The last pin released on a draining version retires it, so a
-    /// blue/green cut-over completes once the serve loop sweeps.
+    /// blue/green cut-over completes once a serve call sweeps.
     pub fn sweep(&self) {
         let registry = Arc::clone(&self.registry);
         self.lock().retain(|version, _| {
@@ -280,7 +287,7 @@ impl Drop for SnapshotStore {
         let map = std::mem::take(
             self.templates
                 .get_mut()
-                .expect("snapshot store lock poisoned"),
+                .unwrap_or_else(PoisonError::into_inner),
         );
         for version in map.into_keys() {
             self.registry.release(version);

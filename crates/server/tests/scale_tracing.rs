@@ -1,8 +1,8 @@
 //! Tracing a virtual-time scale run.
 //!
 //! `Server::serve_scaled` measures no host time per request (its latencies
-//! are virtual), so a traced run must add no samples to the
-//! `server.request.host_nanos` histogram, and it must fork exactly the
+//! are virtual): a traced run records no per-request host-time histogram
+//! and no per-request `server.request` span, and it must fork exactly the
 //! sessions it executes.  This is a test binary of its own because it
 //! toggles the process-global recorder: no concurrently running test can
 //! record into it or switch it off mid-run.
@@ -79,9 +79,19 @@ fn traced_scale_run_records_no_host_time_and_forks_only_executed_sessions() {
         "the recorder saw every executed request"
     );
     assert_eq!(
+        samples("server.queue_depth"),
+        report.windows,
+        "one queue-depth sample per admission window"
+    );
+    assert_eq!(
         samples("server.request.host_nanos"),
         0,
         "unmeasured host time must not be recorded as zeros"
+    );
+    assert_eq!(
+        snap.events().filter(|e| e.name == "server.request").count(),
+        0,
+        "the window series, not a span per request, accounts for a sweep"
     );
 
     // One fork per distinct executed session, none for the rest.

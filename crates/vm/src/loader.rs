@@ -171,7 +171,7 @@ pub fn load(program: &Program, allocator: AllocatorKind) -> Result<Loaded, LoadE
     for (i, inst) in insts.iter().enumerate() {
         word_of.push(w);
         word_to_inst.insert(w, i);
-        code_words.extend(confllvm_machine::encode_inst(inst));
+        code_words.extend_from_slice(&confllvm_machine::encode_inst(inst));
         w += encoded_len(inst);
     }
 

@@ -565,12 +565,6 @@ impl Memory {
         }
         Ok(v)
     }
-
-    /// Number of distinct pages reachable (shared or private — a locality
-    /// proxy reported in statistics).
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 #[cfg(test)]

@@ -156,6 +156,12 @@ fn traced_runs_leak_nothing_and_perturb_nothing() {
     );
 
     let snap = rec.snapshot();
+    // `serve`'s closed loop queues each stream whole; only a scale run's
+    // admission windows sample the scheduler queue depth.
+    assert!(
+        !snap.histograms.contains_key("server.queue_depth"),
+        "closed-loop serving must not feed the queue-depth histogram"
+    );
     let trace = obs::chrome_trace_json(&snap);
     let metrics = obs::metrics_json(&snap);
     rec.clear_private_sentinels();
